@@ -159,10 +159,13 @@ def _load_presentation(args) -> Presentation:
 
 
 def _budget(args) -> Budget:
+    def given(value, default):
+        return default if value is None else value
+
     return Budget(
-        max_rules=args.budget_rules or DEFAULT_BUDGET.max_rules,
-        max_rule_length=args.budget_len or DEFAULT_BUDGET.max_rule_length,
-        max_steps=args.budget_steps or DEFAULT_BUDGET.max_steps,
+        max_rules=given(args.budget_rules, DEFAULT_BUDGET.max_rules),
+        max_rule_length=given(args.budget_len, DEFAULT_BUDGET.max_rule_length),
+        max_steps=given(args.budget_steps, DEFAULT_BUDGET.max_steps),
     )
 
 

@@ -9,9 +9,16 @@ leaves a sound but possibly non-confluent system (normal form ε still
 proves a word trivial in the presented group, which is all the homology
 pipeline needs from partial systems).
 
-Internally words are bytes objects (one letter per byte) because rule
-lookup, interreduction and overlap detection are all substring work,
-which bytes do at C speed. The public API speaks letter tuples.
+Internally words are bytes objects (one letter per byte), so
+interreduction and overlap detection are substring work done at C speed.
+Rule lookup goes through one index: a trie of the left sides read
+backwards, from the last letter to the first. Reduction appends one
+letter at a time and walks the trie back from that letter; the first
+node on the walk that holds a right side is the shortest left side that
+is a suffix of the output, and that is the rule applied. Shortest suffix
+first is the rule every normal form, step count and rule set depends
+on, and it holds whether or not the left sides form an antichain. The
+public API speaks letter tuples.
 """
 
 from __future__ import annotations
@@ -64,20 +71,23 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     core, _ = words.cyclic_reduce(relator)
     if not core:
         return None
-    best: tuple[tuple, tuple] | None = None
-    for base in (core, words.invert(core)):
-        for rot in words.cyclic_rotations(base):
-            cut = (len(rot) + 1) // 2
-            u, v = rot[:cut], words.invert(rot[cut:])
-            lhs, rhs = ((u, v) if (len(u), u) > (len(v), v) else (v, u))
-            key = ((len(lhs), lhs), rhs)
-            if best is None or key < (
-                (len(best[0]), best[0]),
-                best[1],
-            ):
-                best = (lhs, rhs)
-    assert best is not None
-    return best
+    n = len(core)
+    cut = (n + 1) // 2
+    inv = words.invert(core)
+    candidates = []
+    for base, base_inv in ((core, inv), (inv, core)):
+        twice, twice_inv = base * 2, base_inv * 2
+        for k in range(n):
+            # rotation k of base is twice[k:k + n]; its inverse is
+            # rotation n - k of the inverse
+            m = (n - k) % n
+            candidates.append(
+                _shortlex_max_first(twice[k:k + cut], twice_inv[m:m + n - cut])
+            )
+    return min(candidates, key=lambda lr: (len(lr[0]), lr[0], lr[1]))
+
+
+_RHS = -1  # key under which a trie node holds its rule's right side
 
 
 class RewriteSystem:
@@ -87,8 +97,7 @@ class RewriteSystem:
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
         self._lhs_index: dict[bytes, int] = {}
-        self._by_len: dict[int, dict[bytes, bytes]] = {}
-        self._lengths: list[int] = []
+        self._trie: dict = {}
         self._next_id = 0
         self._pending: deque[tuple[bytes, bytes]] = deque()
         self._pairs: list[tuple[int, int, int, int, int]] = []
@@ -114,11 +123,10 @@ class RewriteSystem:
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
         self._lhs_index[lhs] = rid
-        bucket = self._by_len.setdefault(len(lhs), {})
-        if len(lhs) not in self._lengths:
-            self._lengths.append(len(lhs))
-            self._lengths.sort()
-        bucket[lhs] = rhs
+        node = self._trie
+        for x in reversed(lhs):
+            node = node.setdefault(x, {})
+        node[_RHS] = rhs
         # interreduction: retire rules whose lhs the new rule rewrites,
         # renormalize right sides in place
         for other in list(self.rules):
@@ -131,7 +139,7 @@ class RewriteSystem:
             elif lhs in r:
                 nr = self._nf(r)
                 self.rules[other] = (l, nr)
-                self._by_len[len(l)][l] = nr
+                self._trie_node(l)[_RHS] = nr
         # overlap queue
         for other in list(self.rules):
             if other == rid:
@@ -141,49 +149,73 @@ class RewriteSystem:
                 self._queue_overlaps(rid, other)
                 self._queue_overlaps(other, rid)
 
+    def _trie_node(self, lhs: bytes) -> dict:
+        node = self._trie
+        for x in reversed(lhs):
+            node = node[x]
+        return node
+
     def _retire(self, rid: int):
         lhs, _ = self.rules.pop(rid)
         del self._lhs_index[lhs]
-        bucket = self._by_len[len(lhs)]
-        del bucket[lhs]
-        if not bucket:
-            del self._by_len[len(lhs)]
-            self._lengths.remove(len(lhs))
+        # path[i] is the node reached after the last i letters of lhs
+        path = [self._trie]
+        for x in reversed(lhs):
+            path.append(path[-1][x])
+        del path[-1][_RHS]
+        for i in range(len(lhs), 0, -1):
+            if path[i]:
+                break
+            del path[i - 1][lhs[-i]]
 
     def _queue_overlaps(self, i: int, j: int):
+        """Queue every k where a proper suffix of li equals a prefix of lj.
+
+        Only positions holding lj's first letter can start one; rfind
+        visits them from the end back, so k ascends.
+        """
         li = self.rules[i][0]
         lj = self.rules[j][0]
-        top = min(len(li), len(lj)) - 1
-        for k in range(1, top + 1):
-            if li[-k:] == lj[:k]:
-                heapq.heappush(
-                    self._pairs, (len(li) + len(lj) - k, self._seq, i, j, k)
-                )
+        n = len(li)
+        lo = n - min(n, len(lj)) + 1
+        pos = li.rfind(lj[0], lo)
+        while pos >= 0:
+            k = n - pos
+            if li.endswith(lj[:k]):
+                heapq.heappush(self._pairs, (n + len(lj) - k, self._seq, i, j, k))
                 self._seq += 1
+            pos = li.rfind(lj[0], lo, pos)
 
     # -- reduction --------------------------------------------------------
 
     def _nf(self, word: bytes, allowance: list[int] | None = None) -> bytes:
         """Leftmost reduction, shortest applicable rule first.
 
+        Letters move one at a time from ``pending`` to ``out``, which
+        stays irreducible. After each append the trie is walked back from
+        the new last letter; the first node holding a right side is the
+        shortest left side ending there, and it is rewritten at once, its
+        right side going back onto ``pending``.
+
         ``allowance`` is a single-cell mutable step counter; when it runs
         dry StepLimitExceeded is raised. Without one, applications are
         charged to the completion step counter.
         """
-        by_len = self._by_len
-        lengths = self._lengths
+        trie = self._trie
         out = bytearray()
         pending = bytearray(word[::-1])
         while pending:
             out.append(pending.pop())
-            n = len(out)
-            for ell in lengths:
-                if ell > n:
+            node = trie
+            i = len(out)
+            while i:
+                i -= 1
+                node = node.get(out[i])
+                if node is None:
                     break
-                tail = bytes(out[n - ell:])
-                rhs = by_len[ell].get(tail)
+                rhs = node.get(_RHS)
                 if rhs is not None:
-                    del out[n - ell:]
+                    del out[i:]
                     pending.extend(rhs[::-1])
                     if allowance is None:
                         self.steps += 1
@@ -194,15 +226,16 @@ class RewriteSystem:
                     break
         return bytes(out)
 
-    def irreducible(self, word: bytes) -> bool:
-        for ell in self._lengths:
-            if ell > len(word):
-                break
-            bucket = self._by_len[ell]
-            for start in range(len(word) - ell + 1):
-                if word[start:start + ell] in bucket:
-                    return False
-        return True
+    def _ends_with_lhs(self, word: bytes) -> bool:
+        """Whether some left side is a suffix of word: _nf's walk."""
+        node = self._trie
+        for x in reversed(word):
+            node = node.get(x)
+            if node is None:
+                return False
+            if _RHS in node:
+                return True
+        return False
 
 
 def initial_rules(pres: Presentation) -> RewriteSystem:
@@ -305,15 +338,7 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
         for w in layer:
             for x in alphabet:
                 cand = w + bytes([x])
-                n = len(cand)
-                ok = True
-                for ell in rws._lengths:
-                    if ell > n:
-                        break
-                    if cand[n - ell:] in rws._by_len[ell]:
-                        ok = False
-                        break
-                if ok:
+                if not rws._ends_with_lhs(cand):
                     nxt.append(cand)
                     if len(found) + len(nxt) > cap:
                         raise Overflow(f"more than {cap} irreducible words")

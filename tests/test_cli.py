@@ -110,6 +110,17 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_zero_budget_limits_exit_2(capsys):
+    for flag in ("--budget-steps", "--budget-rules", "--budget-len"):
+        for value in ("0", "-1"):
+            code, out, err = run(
+                capsys, "compute", "--corpus", "SL2_F2", "--prime", "2", flag, value
+            )
+            assert code == 2
+            assert out == ""
+            assert "budget limits must be positive" in err
+
+
 def test_oracle_unavailable_exits_3(tmp_path, capsys):
     pres = tmp_path / "free.pres"
     pres.write_text("gens: a\n", encoding="utf-8")

@@ -1,14 +1,18 @@
 """Knuth-Bendix completion and normal forms."""
 
+import hashlib
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hopfcalc import words
-from hopfcalc.presentation import parse_presentation
+from hopfcalc.hopf import build_p_cover
+from hopfcalc.presentation import corpus, parse_presentation
 from hopfcalc.rewrite import (
+    _RHS,
     Budget,
     Overflow,
     StepLimitExceeded,
@@ -53,6 +57,27 @@ def test_orient_relator_ignores_how_the_relator_was_written():
     for rot in words.cyclic_rotations(r):
         assert orient_relator(rot) == orient_relator(r)
     assert orient_relator(words.invert(r)) == orient_relator(r)
+
+
+def rotation_orient(relator):
+    """orient_relator's definition, spelled out rotation by rotation."""
+    core, _ = words.cyclic_reduce(relator)
+    if not core:
+        return None
+    best = None
+    for base in (core, words.invert(core)):
+        for rot in words.cyclic_rotations(base):
+            cut = (len(rot) + 1) // 2
+            u, v = rot[:cut], words.invert(rot[cut:])
+            lhs, rhs = (u, v) if (len(u), u) > (len(v), v) else (v, u)
+            if best is None or (len(lhs), lhs, rhs) < (len(best[0]), best[0], best[1]):
+                best = (lhs, rhs)
+    return best
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=24))
+def test_orient_relator_matches_the_rotation_definition(w):
+    assert orient_relator(tuple(w)) == rotation_orient(tuple(w))
 
 
 def test_initial_rules_free_group_is_confluent():
@@ -170,3 +195,91 @@ def test_confluent_normal_forms_are_a_congruence(u, v):
 def test_inverse_cancels_in_the_quotient(w):
     rws = completed(S3)
     assert normal_form(rws, words.concat(w, words.invert(w))) == ()
+
+
+@lru_cache(maxsize=None)
+def partial_cover():
+    """A budget-limited SL2_F3 cover system that has retired rules."""
+    rws = knuth_bendix(
+        initial_rules(build_p_cover(corpus("SL2_F3"), 3)), Budget(max_steps=5000)
+    )
+    assert rws.limited and not rws.confluent
+    return rws
+
+
+def reference_reduce(rws, word):
+    """Rewrite at the leftmost end of a match, shortest left side first.
+
+    Returns the normal form and the number of rewrites, scanning the
+    live rule table from scratch after every rewrite.
+    """
+    table = sorted(rws.rules.values(), key=lambda lr: len(lr[0]))
+    w = bytes(words.free_reduce(word))
+    steps = 0
+    while True:
+        for end in range(1, len(w) + 1):
+            hit = next((lr for lr in table if w.endswith(lr[0], 0, end)), None)
+            if hit is not None:
+                break
+        else:
+            return tuple(w), steps
+        lhs, rhs = hit
+        w = w[:end - len(lhs)] + rhs + w[end:]
+        steps += 1
+
+
+def test_partial_cover_index_holds_exactly_the_live_rules():
+    rws = partial_cover()
+    assert (len(rws.rules), rws._next_id) == (60, 77)
+    found = set()
+
+    def walk(node, suffix):
+        for key, child in node.items():
+            if key == _RHS:
+                found.add((suffix, child))
+            else:
+                assert child, "emptied trie node left behind"
+                walk(child, bytes([key]) + suffix)
+
+    walk(rws._trie, b"")
+    assert found == set(rws.rules.values())
+    for lhs, _ in rws.rules.values():
+        cell = [10**6]
+        nf = reduce_with_allowance(rws, tuple(lhs), cell)
+        assert (nf, 10**6 - cell[0]) == reference_reduce(rws, tuple(lhs))
+
+
+@given(st.data())
+def test_rule_index_matches_a_reference_reducer(data):
+    # words glued from letters and whole left sides reach long rules
+    # that random letters seldom spell
+    rws = partial_cover()
+    lefts = sorted(lhs for lhs, _ in rws.rules.values())
+    piece = st.one_of(
+        st.integers(min_value=0, max_value=3).map(lambda x: (x,)),
+        st.sampled_from(lefts).map(tuple),
+    )
+    w = sum(data.draw(st.lists(piece, max_size=8)), ())
+    cell = [10**6]
+    nf = reduce_with_allowance(rws, w, cell)
+    assert (nf, 10**6 - cell[0]) == reference_reduce(rws, w)
+
+
+@pytest.mark.parametrize(
+    "name, p, steps, rules, digest",
+    [
+        ("PSL2_Z", 2, 20000, 82,
+         "83c98bf68794fc058bb88181f6f3446a12f4f0b4b9b8a28f870649c7433eedd7"),
+        ("GL2_Z", 5, 20110, 118,
+         "7430313c493fbd7a70ee40a4dd613f64d280ea021cfb788b10c52284ee80b8e3"),
+    ],
+)
+def test_completion_trace_is_pinned(name, p, steps, rules, digest):
+    # the overlap queue's order decides which rules a budget-limited
+    # completion reaches; these values pin it
+    cover = build_p_cover(corpus(name), p)
+    rws = knuth_bendix(initial_rules(cover), Budget(max_steps=20000))
+    assert rws.steps == steps
+    assert len(rws.rules) == rules
+    text = dump_rules(rws, cover.generators)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
