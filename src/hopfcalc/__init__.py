@@ -7,18 +7,14 @@ certified upper bound when the rewriting budget runs out.  See
 command-line front end.
 """
 
-from .fplinalg import as_fp, express_in_basis, left_kernel_basis, rank, rref, select_independent_rows
+from .fplinalg import as_fp, left_kernel_basis, rank, rref
 from .hopf import (
     ORDER_CAP,
     BoundKind,
     HopfResult,
     RemovalCertificate,
     build_p_cover,
-    dim_a_exact_finite,
-    find_basis,
     h1_dimension,
-    h2_dimension,
-    h2_generator_candidates,
     image_matrix,
     replay_certificate,
     run_pipeline,
@@ -83,15 +79,10 @@ __all__ = [
     "corpus",
     "corpus_names",
     "corpus_substitution",
-    "dim_a_exact_finite",
     "dump_rules",
     "enumerate_elements",
-    "express_in_basis",
-    "find_basis",
     "group_order",
     "h1_dimension",
-    "h2_dimension",
-    "h2_generator_candidates",
     "image_matrix",
     "initial_rules",
     "knuth_bendix",
@@ -109,7 +100,6 @@ __all__ = [
     "replay_certificate",
     "rref",
     "run_pipeline",
-    "select_independent_rows",
     "simplify",
     "to_json",
 ]

@@ -4,8 +4,10 @@ Four subcommands: ``compute`` runs the pipeline on one presentation at
 one prime, ``table`` regenerates the h1/h2 grids over the corpus,
 ``simplify`` applies a substitution map and tidies the relators, and
 ``oracle-check`` compares pipeline answers against the bar-resolution
-oracle.  Exit codes: 0 success, 1 usage or failed check, 2 parse or
-validation error, 3 oracle unavailable.
+oracle.  Every result comes from one ``run_pipeline`` call per cell;
+``table`` runs its cells one after another.  Exit codes: 0 success,
+1 usage or failed check, 2 parse or validation error, 3 oracle
+unavailable.
 """
 
 from __future__ import annotations
@@ -14,22 +16,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import oracle
-from .hopf import (
-    ORDER_CAP,
-    BoundKind,
-    HopfResult,
-    _build_machine,
-    _finish,
-    image_matrix,
-    run_pipeline,
-    to_json,
-)
+from .hopf import BoundKind, HopfResult, image_matrix, run_pipeline, to_json
 from .presentation import (
     ParseError,
     Presentation,
@@ -42,7 +33,7 @@ from .presentation import (
     render_word,
     simplify,
 )
-from .rewrite import DEFAULT_BUDGET, Budget, dump_rules
+from .rewrite import DEFAULT_BUDGET, Budget, dump_rules, initial_rules, knuth_bendix
 
 FORMATS = ("text", "json", "csv", "markdown")
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -188,20 +179,6 @@ def _parse_primes(args) -> list[int]:
     return out
 
 
-def _thread_count(n_jobs: int) -> int:
-    raw = os.environ.get("HOPFCALC_THREADS", "").strip()
-    if raw:
-        try:
-            k = int(raw)
-        except ValueError:
-            raise UsageError(f"HOPFCALC_THREADS must be an integer, got {raw!r}") from None
-        if k < 1:
-            raise UsageError("HOPFCALC_THREADS must be at least 1")
-    else:
-        k = os.cpu_count() or 1
-    return max(1, min(k, n_jobs))
-
-
 def _emit(text: str) -> None:
     sys.stdout.write(text)
 
@@ -217,11 +194,12 @@ def _bounded(value: int, kind: BoundKind) -> str:
 def cmd_compute(args) -> int:
     pres = _load_presentation(args)
     budget = _budget(args)
-    machine = _build_machine(pres, args.prime, budget, ORDER_CAP)
-    result = _finish(pres, args.prime, machine, budget)
+    result = run_pipeline(pres, args.prime, budget)
     if args.dump_rules:
+        # the same deterministic completion the pipeline ran on the base
+        base = knuth_bendix(initial_rules(pres), budget)
         Path(args.dump_rules).write_text(
-            dump_rules(machine.base, pres.generators), encoding="utf-8"
+            dump_rules(base, pres.generators), encoding="utf-8"
         )
     if args.dump_matrix:
         mat = image_matrix(result.spanning_set, pres.arity, args.prime)
@@ -241,7 +219,7 @@ def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
         ("n_generators", r.n_generators),
         ("h1_dim", r.h1_dim),
         ("dim_A", r.dim_a),
-        ("dim_A_kind", r.dim_a_kind.value),
+        ("dim_A_kind", r.h2_kind.value),
         ("rank_image", r.rank_image),
         ("h2_value", r.h2_value),
         ("h2_kind", r.h2_kind.value),
@@ -260,11 +238,7 @@ def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
         return "\n".join(lines) + "\n"
     exact = r.h2_kind is BoundKind.EXACT
     h2 = f"h2 = {r.h2_value} (exact)" if exact else f"h2 ≤ {r.h2_value}"
-    da = (
-        f"dim A = {r.dim_a} (exact)"
-        if r.dim_a_kind is BoundKind.EXACT
-        else f"dim A ≤ {r.dim_a}"
-    )
+    da = f"dim A = {r.dim_a} (exact)" if exact else f"dim A ≤ {r.dim_a}"
     lines = [
         f"h1 = {r.h1_dim}, {h2}",
         f"{da}, image rank = {r.rank_image}",
@@ -290,16 +264,12 @@ def cmd_table(args) -> int:
         names = list(corpus_names())
     primes = _parse_primes(args)
     budget = _budget(args)
-    jobs = [(name, p) for name in names for p in primes]
     loaded = {name: corpus(name) for name in names}
-    results: dict[tuple[str, int], HopfResult] = {}
-    with ThreadPoolExecutor(max_workers=_thread_count(len(jobs))) as pool:
-        futures = {
-            pool.submit(run_pipeline, loaded[name], p, budget): (name, p)
-            for name, p in jobs
-        }
-        for fut, key in futures.items():
-            results[key] = fut.result()
+    results = {
+        (name, p): run_pipeline(loaded[name], p, budget)
+        for name in names
+        for p in primes
+    }
     _emit(_render_table(names, primes, results, args.format))
     return 0
 

@@ -3,9 +3,10 @@
 Everything works on 2-D numpy int64 arrays holding entries in
 ``range(p)``. Matrices stay small in this code base (rows and columns
 bounded by generator and relator counts, or by squared group order in
-the oracle), so plain Gaussian elimination is enough; the only care
-taken is to transpose first when that makes the elimination loop run
-over the short side.
+the oracle), so plain Gaussian elimination is enough. ``rank``,
+``rref`` and ``left_kernel_basis`` share one elimination loop; only
+``rref`` clears above its pivots, and ``rank`` transposes first when
+that makes the loop run over the short side.
 """
 
 from __future__ import annotations
@@ -26,13 +27,18 @@ def _inv_mod(x: int, p: int) -> int:
     return pow(int(x), p - 2, p)
 
 
-def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = as_fp(mat, p).copy()
-    rows, cols = a.shape
+def _eliminate(a: np.ndarray, p: int, n_cols: int, full: bool) -> list[int]:
+    """Gaussian elimination of ``a`` in place; returns the pivot columns.
+
+    Pivots are searched in the first ``n_cols`` columns.  Each pivot row
+    is scaled to a leading 1 and clears its column in the rows below,
+    or with ``full`` in every other row, which leaves the reduced row
+    echelon form.
+    """
+    rows = a.shape[0]
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for c in range(n_cols):
         if r == rows:
             break
         nz = np.nonzero(a[r:, c])[0]
@@ -42,119 +48,43 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         a[r] = (a[r] * _inv_mod(a[r, c], p)) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
+        if full:
+            targets = np.nonzero(a[:, c])[0]
+            targets = targets[targets != r]
+        else:
+            targets = r + 1 + np.nonzero(a[r + 1:, c])[0]
+        if targets.size:
+            a[targets] = (a[targets] - np.outer(a[targets, c], a[r])) % p
         pivots.append(c)
         r += 1
-    return a, pivots
+    return pivots
+
+
+def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    a = as_fp(mat, p)
+    return a, _eliminate(a, p, a.shape[1], full=True)
 
 
 def rank(mat, p: int) -> int:
     """Rank by forward elimination, transposing tall matrices first."""
     a = as_fp(mat, p)
     if a.shape[0] > a.shape[1]:
-        a = a.T
-    a = a.copy()
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            factors = (a[below, c] * _inv_mod(a[r, c], p)) % p
-            a[below] = (a[below] - np.outer(factors, a[r])) % p
-        r += 1
-    return r
+        a = a.T.copy()
+    return len(_eliminate(a, p, a.shape[1], full=False))
 
 
 def left_kernel_basis(mat, p: int) -> np.ndarray:
     """Canonical basis (RREF rows) of {v : v @ mat == 0 mod p}.
 
-    Found by reducing the block matrix [mat | I] with pivot search
-    restricted to the mat columns; rows whose mat part dies carry a
-    kernel vector in the identity part.
+    Found by forward-reducing the block matrix [mat | I] with pivot
+    search restricted to the mat columns; the rows below the last pivot
+    have a dead mat part and carry independent kernel vectors in the
+    identity part.
     """
     a = as_fp(mat, p)
     m, n = a.shape
-    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1).copy()
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(aug[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            aug[[r, i]] = aug[[i, r]]
-        aug[r] = (aug[r] * _inv_mod(aug[r, c], p)) % p
-        other = np.nonzero(aug[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            aug[other] = (aug[other] - np.outer(aug[other, c], aug[r])) % p
-        r += 1
-    dead = np.nonzero(~aug[:, :n].any(axis=1))[0]
-    kern = aug[dead, n:]
-    reduced, _ = rref(kern, p) if kern.size else (kern.reshape(0, m), [])
-    keep = reduced.any(axis=1) if reduced.size else np.zeros(0, dtype=bool)
-    return reduced[keep].astype(np.int64)
-
-
-def select_independent_rows(mat, p: int) -> list[int]:
-    """Greedy maximal independent subset of rows, earliest rows first."""
-    a = as_fp(mat, p)
-    chosen: list[int] = []
-    echelon: list[np.ndarray] = []
-    lead: list[int] = []
-    for idx in range(a.shape[0]):
-        v = a[idx].copy()
-        for e, c in zip(echelon, lead):
-            if v[c]:
-                v = (v - v[c] * e) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            continue
-        c = int(nz[0])
-        v = (v * _inv_mod(v[c], p)) % p
-        echelon.append(v)
-        lead.append(c)
-        chosen.append(idx)
-    return chosen
-
-
-def express_in_basis(vec, basis, p: int):
-    """Coefficients x with x @ basis == vec mod p, or None.
-
-    When the basis rows are dependent one valid coefficient vector is
-    returned; callers that need uniqueness pass independent rows.
-    """
-    b = as_fp(basis, p)
-    v = as_fp(vec, p).reshape(-1)
-    if b.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64) if not v.any() else None
-    if b.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch")
-    m = b.shape[0]
-    aug = np.concatenate([b, np.eye(m, dtype=np.int64)], axis=1)
-    red, pivots = rref(aug, p)
-    residue = v.copy()
-    coeffs = np.zeros(m, dtype=np.int64)
-    for row, c in enumerate(pivots):
-        if c >= b.shape[1]:
-            break
-        if residue[c]:
-            f = residue[c]
-            residue = (residue - f * red[row, : b.shape[1]]) % p
-            coeffs = (coeffs + f * red[row, b.shape[1]:]) % p
-    if residue.any():
-        return None
-    return coeffs
+    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
+    r = len(_eliminate(aug, p, n, full=False))
+    kern = aug[r:, n:]
+    return rref(kern, p)[0] if kern.size else kern

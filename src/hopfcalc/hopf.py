@@ -71,7 +71,11 @@ class RemovalCertificate:
 
 @dataclass(frozen=True)
 class HopfResult:
-    """Immutable record of one pipeline run on one presentation at one prime."""
+    """Immutable record of one pipeline run on one presentation at one prime.
+
+    ``h2_kind`` also qualifies ``dim_a``: the spanning size is certified
+    as dim A exactly when h2 is exact.
+    """
 
     group: str | None
     generators: tuple[str, ...]
@@ -79,7 +83,6 @@ class HopfResult:
     n_generators: int
     h1_dim: int
     dim_a: int
-    dim_a_kind: BoundKind
     rank_image: int
     h2_value: int
     h2_kind: BoundKind
@@ -146,19 +149,20 @@ def image_matrix(spanning_set: Sequence[Word], n: int, p: int) -> np.ndarray:
 # exactness certification
 
 
-@dataclass
-class _Machine:
-    """Completed systems and order data shared by one pipeline run."""
+def _order_dim_a(
+    base_order: int | None, cover_order: int | None, p: int
+) -> int | None:
+    """Exact dim A by order counting, or None when that is out of reach.
 
-    base: RewriteSystem
-    cover_pres: Presentation
-    cover: RewriteSystem
-    base_order: int | None
-    cover_order: int | None
-    dim_a: int | None
-
-
-def _power_of(ratio: int, p: int) -> int:
+    When both the group and its cover yield confluent systems whose
+    element counts stay under the cap, the ratio of the two orders is
+    p^{dim A}.  A missing order returns None: unknown, not zero.
+    """
+    if base_order is None or cover_order is None:
+        return None
+    ratio, r = divmod(cover_order, base_order)
+    if r:
+        raise ArithmeticError("group order does not divide cover order")
     d = 0
     while ratio % p == 0:
         ratio //= p
@@ -168,39 +172,6 @@ def _power_of(ratio: int, p: int) -> int:
             "cover order over group order is not a power of the prime"
         )
     return d
-
-
-def _build_machine(
-    pres: Presentation, p: int, budget: Budget, order_cap: int
-) -> _Machine:
-    base = knuth_bendix(initial_rules(pres), budget)
-    cover_pres = build_p_cover(pres, p)
-    cover = knuth_bendix(initial_rules(cover_pres), budget)
-    base_order = group_order(base, order_cap)
-    cover_order = group_order(cover, order_cap)
-    dim_a = None
-    if base_order is not None and cover_order is not None:
-        q, r = divmod(cover_order, base_order)
-        if r:
-            raise ArithmeticError("group order does not divide cover order")
-        dim_a = _power_of(q, p)
-    return _Machine(base, cover_pres, cover, base_order, cover_order, dim_a)
-
-
-def dim_a_exact_finite(
-    pres: Presentation,
-    p: int,
-    budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
-) -> int | None:
-    """Exact dim A by order counting, or None when that is out of reach.
-
-    When both the group and its cover yield confluent systems whose
-    element counts stay under the cap, the ratio of the two orders is
-    p^{dim A}.  Any other situation returns None: unknown, not zero.
-    """
-    _require_prime(p)
-    return _build_machine(pres, p, budget, order_cap).dim_a
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +310,20 @@ def replay_certificate(
 # assembling the result
 
 
-def _finish(
-    pres: Presentation, p: int, machine: _Machine, budget: Budget
+def run_pipeline(
+    pres: Presentation,
+    p: int,
+    budget: Budget = DEFAULT_BUDGET,
+    order_cap: int = ORDER_CAP,
 ) -> HopfResult:
+    """Run the whole computation for one presentation at one prime."""
+    _require_prime(p)
+    base = knuth_bendix(initial_rules(pres), budget)
+    cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
+    base_order = group_order(base, order_cap)
+    cover_order = group_order(cover, order_cap)
+    dim_a = _order_dim_a(base_order, cover_order, p)
+
     n = pres.arity
     spanning_all = list(pres.relators)
     all_rows = [
@@ -352,7 +334,7 @@ def _finish(
     h1 = n - rank_all
 
     live, certs, search = _reduce_spanning(
-        spanning_all, all_rows, n, machine.cover, p, budget
+        spanning_all, all_rows, n, cover, p, budget
     )
     final = [spanning_all[i] for i in live]
     mat = image_matrix(final, n, p)
@@ -360,11 +342,11 @@ def _finish(
     if rank != rank_all:
         raise ArithmeticError("spanning reduction changed the image rank")
     m = len(final)
-    if machine.dim_a is not None and machine.dim_a > m:
+    if dim_a is not None and dim_a > m:
         raise ArithmeticError("certified dim A exceeds the reduced spanning size")
 
     kind = BoundKind.UPPER_BOUND
-    if machine.dim_a is not None and m == machine.dim_a:
+    if dim_a is not None and m == dim_a:
         kind = BoundKind.EXACT
     elif m == 0:
         # an empty spanning set certifies A = 0 outright
@@ -382,11 +364,7 @@ def _finish(
                 kind = BoundKind.EXACT
 
     h2 = m - rank
-    if (
-        kind is BoundKind.EXACT
-        and machine.dim_a is not None
-        and machine.dim_a != h2 + n - h1
-    ):
+    if kind is BoundKind.EXACT and dim_a is not None and dim_a != h2 + n - h1:
         raise ArithmeticError("rank-nullity identity violated")
 
     kernel = fplinalg.left_kernel_basis(mat, p)
@@ -404,15 +382,15 @@ def _finish(
         candidates.append((coeffs, word))
 
     report = {
-        "base_rules": len(machine.base.rules),
-        "base_steps": machine.base.steps,
-        "base_limited": machine.base.limited,
-        "cover_rules": len(machine.cover.rules),
-        "cover_steps": machine.cover.steps,
-        "cover_limited": machine.cover.limited,
-        "group_order": machine.base_order,
-        "cover_order": machine.cover_order,
-        "order_dim_a": machine.dim_a,
+        "base_rules": len(base.rules),
+        "base_steps": base.steps,
+        "base_limited": base.limited,
+        "cover_rules": len(cover.rules),
+        "cover_steps": cover.steps,
+        "cover_limited": cover.limited,
+        "group_order": base_order,
+        "cover_order": cover_order,
+        "order_dim_a": dim_a,
         "spanning_initial": len(spanning_all),
         "initial_bound": len(spanning_all) - rank_all,
         "removals": len(certs),
@@ -427,71 +405,16 @@ def _finish(
         n_generators=n,
         h1_dim=h1,
         dim_a=m,
-        dim_a_kind=kind,
         rank_image=rank,
         h2_value=h2,
         h2_kind=kind,
         spanning_set=tuple(final),
         candidates=tuple(candidates),
         certificates=tuple(certs),
-        confluent_base=machine.base.confluent,
-        confluent_cover=machine.cover.confluent,
+        confluent_base=base.confluent,
+        confluent_cover=cover.confluent,
         budget_report=report,
     )
-
-
-def run_pipeline(
-    pres: Presentation,
-    p: int,
-    budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
-) -> HopfResult:
-    """Run the whole computation for one presentation at one prime."""
-    _require_prime(p)
-    machine = _build_machine(pres, p, budget, order_cap)
-    return _finish(pres, p, machine, budget)
-
-
-def find_basis(
-    pres: Presentation,
-    p: int,
-    budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
-):
-    """Spanning set of A after certificate-driven reduction.
-
-    Returns (spanning words, certificates, kind) where kind says whether
-    the spanning size is the certified dim A or just an upper bound.
-    """
-    res = run_pipeline(pres, p, budget, order_cap)
-    return list(res.spanning_set), list(res.certificates), res.dim_a_kind
-
-
-def h2_dimension(
-    pres: Presentation,
-    p: int,
-    budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
-) -> tuple[int, BoundKind]:
-    """dim H_2(G;F_p), exact or as a certified upper bound."""
-    res = run_pipeline(pres, p, budget, order_cap)
-    return res.h2_value, res.h2_kind
-
-
-def h2_generator_candidates(
-    pres: Presentation,
-    p: int,
-    budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
-):
-    """Candidate generator words, one per left-kernel basis vector.
-
-    Each entry is (coefficient vector over the spanning set, word); the
-    word multiplies the spanning elements by their coefficients in input
-    order.  Any of them may still be trivial in homology: these are
-    candidates, not certified nonzero classes.
-    """
-    return list(run_pipeline(pres, p, budget, order_cap).candidates)
 
 
 def to_json(result: HopfResult) -> dict:
@@ -503,7 +426,7 @@ def to_json(result: HopfResult) -> dict:
         "n_generators": result.n_generators,
         "h1_dim": result.h1_dim,
         "dim_A": result.dim_a,
-        "dim_A_kind": result.dim_a_kind.value,
+        "dim_A_kind": result.h2_kind.value,
         "rank_image": result.rank_image,
         "h2_value": result.h2_value,
         "h2_kind": result.h2_kind.value,

@@ -156,9 +156,12 @@ def check(
     The verdict is "pass" when h1 agrees, an EXACT h2 agrees, and an
     UPPER_BOUND h2 is not below the true value.  Raises
     OracleUnavailable when no confluent system or small enough table
-    exists, without judging the pipeline output either way.
+    exists, without judging the pipeline output either way.  Raises
+    ValueError for a cap below 1.
     """
     _require_prime(p)
+    if cap < 1:
+        raise ValueError(f"oracle group-order cap must be at least 1, got {cap}")
     result = run_pipeline(pres, p, budget)
     base = knuth_bendix(initial_rules(pres), budget)
     if not base.confluent:

@@ -21,14 +21,6 @@ def positive_letter(gen: int) -> int:
     return 2 * gen
 
 
-def inverse_letter_of(gen: int) -> int:
-    return 2 * gen + 1
-
-
-def invert_letter(letter: int) -> int:
-    return letter ^ 1
-
-
 def generator_of(letter: int) -> int:
     return letter >> 1
 
@@ -70,18 +62,8 @@ def invert(word: Sequence[int]) -> Word:
 
 
 def power(word: Sequence[int], k: int) -> Word:
-    if k == 0:
-        return EMPTY
-    base = tuple(word) if k > 0 else invert(word)
-    out: Word = EMPTY
-    for _ in range(abs(k)):
-        out = concat(out, base)
-    return out
-
-
-def conjugate(word: Sequence[int], by: Sequence[int]) -> Word:
-    """g^-1 w g for w = word, g = by."""
-    return concat(invert(by), word, by)
+    base = tuple(word) if k >= 0 else invert(word)
+    return concat(*[base] * abs(k))
 
 
 def commutator(u: Sequence[int], v: Sequence[int]) -> Word:
@@ -92,8 +74,8 @@ def commutator(u: Sequence[int], v: Sequence[int]) -> Word:
 def cyclic_reduce(word: Sequence[int]) -> tuple[Word, Word]:
     """Strip matching first/last letters.
 
-    Returns ``(core, conj)`` with ``word == conjugate(core, conj)`` and
-    ``core`` cyclically reduced.
+    Returns ``(core, conj)`` with ``word == concat(invert(conj), core, conj)``
+    and ``core`` cyclically reduced.
     """
     w = free_reduce(word)
     conj: list[int] = []
@@ -121,10 +103,6 @@ def exponent_vector(word: Sequence[int], n_generators: int) -> list[int]:
 def shortlex_key(word: Sequence[int]) -> tuple[int, Tuple[int, ...]]:
     w = tuple(word)
     return (len(w), w)
-
-
-def shortlex_less(u: Sequence[int], v: Sequence[int]) -> bool:
-    return shortlex_key(u) < shortlex_key(v)
 
 
 def proper_power_root(word: Sequence[int]) -> tuple[Word, int]:

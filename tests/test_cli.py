@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -84,6 +85,28 @@ def test_compute_dump_files(tmp_path, capsys):
     assert len(mat_lines) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("--corpus", "SL2_F2", "--prime", "2"),
+            "de5f9e5bb35e4a3c36d95f0ad78372238ae3044d1b4f180c89c9483e3836b41b",
+        ),
+        # the base completion stops at its step budget here
+        (
+            ("--corpus", "SL2Z7Z7_6GEN", "--prime", "7", "--budget-steps", "30000"),
+            "bb187ba5580ec33a65adfbea2e415645837fe18889f74c9eadd943f2a2afc6c2",
+        ),
+    ],
+    ids=["SL2_F2-p2", "SL2Z7Z7_6GEN-p7-budget"],
+)
+def test_dump_rules_is_pinned(tmp_path, capsys, argv, sha256):
+    rules = tmp_path / "rules.txt"
+    code, _, _ = run(capsys, "compute", *argv, "--dump-rules", str(rules))
+    assert code == 0
+    assert hashlib.sha256(rules.read_bytes()).hexdigest() == sha256
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--prime", "2")[0] == 1  # no source
     assert (
@@ -139,6 +162,23 @@ def test_oracle_check_pass(capsys):
     assert all(line.endswith("pass") for line in lines)
 
 
+def test_oracle_check_rejects_a_cap_below_one(tmp_path, capsys):
+    pres = tmp_path / "trivial.pres"
+    pres.write_text("gens: a\nrel: a\n", encoding="utf-8")
+    for cap in ("0", "-3"):
+        code, out, err = run(
+            capsys, "oracle-check", "--pres", str(pres), "--prime", "2",
+            "--max-order", cap,
+        )
+        assert (code, out) == (2, "")
+        assert "cap must be at least 1" in err
+    code, _, err = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--prime", "2", "--max-order", "0"
+    )
+    assert code == 2
+    assert "oracle unavailable" not in err
+
+
 def test_oracle_check_failure_exits_1(monkeypatch, capsys):
     def fake_check(pres, p, budget=None, cap=None):
         return {
@@ -185,17 +225,6 @@ def test_table_csv_and_json(capsys):
     assert json.loads(out) == [
         {"group": "SL2_ZI", "prime": 2, "h1_dim": 1, "h2_value": 1, "h2_kind": "exact"}
     ]
-
-
-def test_table_is_deterministic_across_thread_counts(monkeypatch, capsys):
-    argv = ("table", "--corpus", "SL2_ZI,SL2_ZOMEGA", "--primes", "2,3")
-    monkeypatch.setenv("HOPFCALC_THREADS", "1")
-    first = run(capsys, *argv)
-    monkeypatch.setenv("HOPFCALC_THREADS", "3")
-    second = run(capsys, *argv)
-    assert first == second
-    monkeypatch.setenv("HOPFCALC_THREADS", "zero")
-    assert run(capsys, *argv)[0] == 1
 
 
 def test_simplify_with_map(tmp_path, capsys):

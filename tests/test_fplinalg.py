@@ -1,5 +1,7 @@
 """Gaussian elimination over F_p."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -65,14 +67,20 @@ def test_left_kernel_empty_input():
     assert la.left_kernel_basis(np.zeros((0, 3), dtype=np.int64), 5).shape == (0, 0)
 
 
-def test_express_in_basis():
-    basis = [[1, 0], [1, 1]]
-    c = la.express_in_basis([0, 1], basis, 2)
-    assert c.tolist() == [1, 1]
-    assert la.express_in_basis([1, 1, 1], [[1, 0, 0]], 3) is None
-    empty = la.express_in_basis([0, 0], np.zeros((0, 2), dtype=np.int64), 3)
-    assert empty.shape == (0,)
-    assert la.express_in_basis([1, 0], np.zeros((0, 2), dtype=np.int64), 3) is None
+def _span_size(mat, p: int) -> int:
+    """Number of distinct vectors in the row span, by enumerating every
+    coefficient vector; independent of the elimination code."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    coeffs = itertools.product(range(p), repeat=a.shape[0])
+    return len({tuple((np.array(c, dtype=np.int64) @ a) % p) for c in coeffs})
+
+
+@given(fp_matrix())
+def test_rank_matches_the_enumerated_row_span(mp):
+    mat, p = mp
+    size = _span_size(mat, p)
+    assert p ** la.rank(mat, p) == size
+    assert p ** len(la.rref(mat, p)[1]) == size
 
 
 @given(fp_matrix())
@@ -102,25 +110,3 @@ def test_rref_preserves_rank(mp):
     r, pivots = la.rref(mat, p)
     assert len(pivots) == la.rank(mat, p)
     assert la.rank(r, p) == len(pivots)
-
-
-@given(fp_matrix())
-def test_select_independent_rows_spans(mp):
-    mat, p = mp
-    idx = la.select_independent_rows(mat, p)
-    assert len(idx) == la.rank(mat, p)
-    assert idx == sorted(idx)
-    if idx:
-        assert la.rank(mat[idx], p) == len(idx)
-
-
-@given(fp_matrix())
-def test_express_recovers_each_row(mp):
-    mat, p = mp
-    idx = la.select_independent_rows(mat, p)
-    basis = mat[idx] if idx else np.zeros((0, mat.shape[1]), dtype=np.int64)
-    for row in mat:
-        c = la.express_in_basis(row, basis, p)
-        assert c is not None
-        got = (c @ basis) % p if c.size else np.zeros(mat.shape[1], dtype=np.int64)
-        assert np.array_equal(got, row % p)

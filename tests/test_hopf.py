@@ -10,12 +10,8 @@ from hopfcalc import words
 from hopfcalc.hopf import (
     BoundKind,
     build_p_cover,
-    dim_a_exact_finite,
     exponent_matrix,
-    find_basis,
     h1_dimension,
-    h2_dimension,
-    h2_generator_candidates,
     image_matrix,
     replay_certificate,
     run_pipeline,
@@ -70,13 +66,17 @@ def test_build_p_cover_of_the_torus():
 
 
 def test_dim_a_exact_for_finite_groups():
-    assert dim_a_exact_finite(Z5, 5) == 1
+    def order_dim_a(pres, p):
+        res = run_pipeline(pres, p)
+        return res.budget_report["order_dim_a"], res.h2_kind
+
+    assert order_dim_a(Z5, 5) == (1, BoundKind.EXACT)
     # a^5 generates a copy of F_2 inside the cover of order 10; the map
     # to the abelianization is injective there, so h2 vanishes while A
     # itself does not
-    assert dim_a_exact_finite(Z5, 2) == 1
-    assert dim_a_exact_finite(TORUS, 2) is None
-    assert dim_a_exact_finite(FREE2, 2) is None
+    assert order_dim_a(Z5, 2) == (1, BoundKind.EXACT)
+    assert order_dim_a(TORUS, 2)[0] is None
+    assert order_dim_a(FREE2, 2)[0] is None
 
 
 def test_pipeline_cyclic_group():
@@ -84,7 +84,6 @@ def test_pipeline_cyclic_group():
     assert res.h1_dim == 1
     assert (res.h2_value, res.h2_kind) == (1, BoundKind.EXACT)
     assert res.dim_a == 1
-    assert res.dim_a_kind is BoundKind.EXACT
     assert res.rank_image == 0
     assert res.budget_report["group_order"] == 5
     assert res.budget_report["cover_order"] == 25
@@ -115,25 +114,15 @@ def test_proper_power_relator_is_not_promoted():
     # relation module arguments need a relator that is not a proper
     # power; [a,b]^2 must therefore stay an upper bound
     for p in (2, 3):
-        value, kind = h2_dimension(COMM_SQUARED, p)
-        assert kind is BoundKind.UPPER_BOUND
-        assert value == 1
+        res = run_pipeline(COMM_SQUARED, p)
+        assert res.h2_kind is BoundKind.UPPER_BOUND
+        assert res.h2_value == 1
 
 
 def test_single_relator_promotion_requires_zero_image_row():
     res = run_pipeline(parse_presentation("gens: a b\nrel: a*b*a*b^-2\n"), 2)
     # row (2,-1) is nonzero mod 2, so the kernel is empty either way
     assert res.h2_value == 0
-
-
-def test_wrapper_functions_agree_with_the_pipeline():
-    res = run_pipeline(Z5, 5)
-    spanning, certs, kind = find_basis(Z5, 5)
-    assert tuple(spanning) == res.spanning_set
-    assert tuple(certs) == res.certificates
-    assert kind is res.dim_a_kind
-    assert h2_dimension(Z5, 5) == (res.h2_value, res.h2_kind)
-    assert h2_generator_candidates(Z5, 5) == list(res.candidates)
 
 
 def test_candidates_annihilate_the_image_matrix():

@@ -1,0 +1,60 @@
+"""The package's public surface."""
+
+import hopfcalc
+
+PUBLIC = {
+    "BoundKind",
+    "Budget",
+    "DEFAULT_BUDGET",
+    "DEFAULT_CAP",
+    "HopfResult",
+    "MultTable",
+    "ORDER_CAP",
+    "OracleUnavailable",
+    "Overflow",
+    "ParseError",
+    "Presentation",
+    "RemovalCertificate",
+    "RewriteSystem",
+    "StepLimitExceeded",
+    "SubstitutionMap",
+    "apply_substitution",
+    "as_fp",
+    "bar_h1",
+    "bar_h2",
+    "build_p_cover",
+    "check",
+    "corpus",
+    "corpus_names",
+    "corpus_substitution",
+    "dump_rules",
+    "enumerate_elements",
+    "group_order",
+    "h1_dimension",
+    "image_matrix",
+    "initial_rules",
+    "knuth_bendix",
+    "left_kernel_basis",
+    "multiplication_table",
+    "normal_form",
+    "orient_relator",
+    "parse_presentation",
+    "parse_substitution",
+    "parse_word",
+    "rank",
+    "reduce_with_allowance",
+    "render_presentation",
+    "render_word",
+    "replay_certificate",
+    "rref",
+    "run_pipeline",
+    "simplify",
+    "to_json",
+}
+
+
+def test_public_names_resolve_and_match_the_list():
+    assert len(hopfcalc.__all__) == len(set(hopfcalc.__all__))
+    assert set(hopfcalc.__all__) == PUBLIC
+    for name in hopfcalc.__all__:
+        assert hasattr(hopfcalc, name), name
