@@ -3,11 +3,11 @@
 Four subcommands: ``compute`` runs the pipeline on one presentation at
 one prime, ``table`` regenerates the h1/h2 grids over the corpus,
 ``simplify`` applies a substitution map and tidies the relators, and
-``oracle-check`` compares pipeline answers against the bar-resolution
-oracle.  Every result comes from one ``run_pipeline`` call per cell;
-``table`` runs its cells one after another.  Exit codes: 0 success,
-1 usage or failed check, 2 parse or validation error, 3 oracle
-unavailable.
+``oracle-check`` compares pipeline answers against the Fox-calculus
+oracle on finite groups.  Every result comes from one ``run_pipeline``
+call per cell; ``table`` runs its cells one after another.  Exit
+codes: 0 success, 1 usage or failed check, 2 parse or validation
+error, 3 oracle unavailable.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 Everything works on 2-D numpy int64 arrays holding entries in
 ``range(p)``. Matrices stay small in this code base (rows and columns
-bounded by generator and relator counts, or by squared group order in
-the oracle), so plain Gaussian elimination is enough. ``rank``,
-``rref`` and ``left_kernel_basis`` share one elimination loop; only
-``rref`` clears above its pivots, and ``rank`` transposes first when
-that makes the loop run over the short side.
+bounded by generator and relator counts, or by group order times
+those counts in the oracle), so plain Gaussian elimination is enough.
+``rank``, ``rref`` and ``left_kernel_basis`` share one elimination
+loop; only ``rref`` clears above its pivots, and ``rank`` transposes
+first when that makes the loop run over the short side.
 """
 
 from __future__ import annotations
