@@ -4,9 +4,11 @@ Everything works on 2-D numpy int64 arrays holding entries in
 ``range(p)``. Matrices stay small in this code base (rows and columns
 bounded by generator and relator counts, or by group order times
 those counts in the oracle), so plain Gaussian elimination is enough.
-``rank``, ``rref`` and ``left_kernel_basis`` share one elimination
-loop; only ``rref`` clears above its pivots, and ``rank`` transposes
-first when that makes the loop run over the short side.
+``rank``, ``rref`` and ``kernel_image`` share one elimination loop, and
+``left_kernel_basis`` is ``kernel_image`` of the identity; only ``rref``
+clears above its pivots, and ``rank`` transposes first when that makes
+the loop run over the short side.  ``kernel_image`` gives the rank of a
+matrix and the image of its left kernel from one pass.
 """
 
 from __future__ import annotations
@@ -74,17 +76,23 @@ def rank(mat, p: int) -> int:
     return len(_eliminate(a, p, a.shape[1], full=False))
 
 
-def left_kernel_basis(mat, p: int) -> np.ndarray:
-    """Canonical basis (RREF rows) of {v : v @ mat == 0 mod p}.
+def kernel_image(mat, right, p: int) -> tuple[int, np.ndarray]:
+    """Rank of ``mat`` and rows spanning {v @ right : v @ mat == 0 mod p}.
 
-    Found by forward-reducing the block matrix [mat | I] with pivot
-    search restricted to the mat columns; the rows below the last pivot
-    have a dead mat part and carry independent kernel vectors in the
-    identity part.
+    Forward-reduces the block matrix [mat | right] with pivot search
+    restricted to the mat columns.  The rows below the last pivot have a
+    dead mat part: they are v @ [mat | right] for v running over a basis
+    of the left kernel of mat, and their right parts are returned.
     """
     a = as_fp(mat, p)
-    m, n = a.shape
-    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
+    n = a.shape[1]
+    aug = np.concatenate([a, as_fp(right, p)], axis=1)
     r = len(_eliminate(aug, p, n, full=False))
-    kern = aug[r:, n:]
+    return r, aug[r:, n:]
+
+
+def left_kernel_basis(mat, p: int) -> np.ndarray:
+    """Canonical basis (RREF rows) of {v : v @ mat == 0 mod p}."""
+    a = as_fp(mat, p)
+    _, kern = kernel_image(a, np.eye(a.shape[0], dtype=np.int64), p)
     return rref(kern, p)[0] if kern.size else kern

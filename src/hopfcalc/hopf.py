@@ -182,17 +182,12 @@ def _scale_row(row: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
     return tuple((e * x) % p for x in row)
 
 
-def _make_certificate(
+def _test_word(
     spanning: Sequence[Word], ridx: int, factors: Sequence[tuple[int, int]]
-) -> RemovalCertificate:
-    parts = [words.invert(spanning[ridx])]
-    for m, e in factors:
-        parts.append(words.power(spanning[m], e))
-    return RemovalCertificate(
-        removed_index=ridx,
-        removed_word=spanning[ridx],
-        factors=tuple(factors),
-        test_word=words.concat(*parts),
+) -> Word:
+    return words.concat(
+        words.invert(spanning[ridx]),
+        *(words.power(spanning[m], e) for m, e in factors),
     )
 
 
@@ -221,14 +216,14 @@ def _reduce_spanning(
     exhausted = False
     zero = (0,) * n
 
-    def is_trivial(test: Word) -> bool:
+    def is_trivial(ridx: int, factors: tuple[tuple[int, int], ...]) -> bool:
+        test = _test_word(spanning, ridx, factors)
         return reduce_with_allowance(cover, test, cell) == words.EMPTY
 
     def attempt(ridx: int):
         target = rows[ridx]
-        rho = spanning[ridx]
         others = [m for m in live if m != ridx]
-        if target == zero and is_trivial(words.invert(rho)):
+        if target == zero and is_trivial(ridx, ()):
             return ()
         for m in others:
             row_m = rows[m]
@@ -238,10 +233,7 @@ def _reduce_spanning(
                 # exponent 0 mod p still contributes a p-th power word
                 lifts = (p, -p) if res == 0 else (res, res - p)
                 for e in lifts:
-                    test = words.concat(
-                        words.invert(rho), words.power(spanning[m], e)
-                    )
-                    if is_trivial(test):
+                    if is_trivial(ridx, ((m, e),)):
                         return ((m, e),)
         by_scaled: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for m in others:
@@ -259,13 +251,9 @@ def _reduce_spanning(
                         continue
                     for e1 in (res1, res1 - p):
                         for e2 in (res2, res2 - p):
-                            test = words.concat(
-                                words.invert(rho),
-                                words.power(spanning[m1], e1),
-                                words.power(spanning[m2], e2),
-                            )
-                            if is_trivial(test):
-                                return ((m1, e1), (m2, e2))
+                            factors = ((m1, e1), (m2, e2))
+                            if is_trivial(ridx, factors):
+                                return factors
         return None
 
     try:
@@ -278,7 +266,8 @@ def _reduce_spanning(
                 if factors is None:
                     continue
                 live.remove(ridx)
-                certs.append(_make_certificate(spanning, ridx, factors))
+                test = _test_word(spanning, ridx, factors)
+                certs.append(RemovalCertificate(ridx, spanning[ridx], factors, test))
                 changed = True
     except StepLimitExceeded:
         exhausted = True
@@ -297,10 +286,7 @@ def replay_certificate(
     """Recheck a removal certificate from scratch against the cover system."""
     if cert.removed_word != spanning[cert.removed_index]:
         return False
-    parts = [words.invert(cert.removed_word)]
-    for idx, e in cert.factors:
-        parts.append(words.power(spanning[idx], e))
-    test = words.concat(*parts)
+    test = _test_word(spanning, cert.removed_index, cert.factors)
     if test != cert.test_word:
         return False
     return normal_form(cover, test, max_steps) == words.EMPTY
@@ -329,9 +315,8 @@ def run_pipeline(
     all_rows = [
         tuple(e % p for e in words.exponent_vector(r, n)) for r in spanning_all
     ]
-    full_matrix = exponent_matrix(spanning_all, n, p)
-    rank_all = fplinalg.rank(full_matrix, p)
-    h1 = n - rank_all
+    h1 = h1_dimension(pres, p)
+    rank_all = n - h1
 
     live, certs, search = _reduce_spanning(
         spanning_all, all_rows, n, cover, p, budget

@@ -7,9 +7,9 @@ complex (Fox, Ann. Math. 57, 1953; Brown, GTM 87, II.5) and the
 augmentation ideal I of F_p[G]; h1 = dim I/I^2 and, by Hopf's formula,
 h2 = (r - rank E) - rank eps(ker D2), from ranks alone.  The matrices
 grow with |G|.  The oracle shares the base completion, the element
-enumeration and ``fplinalg.rank`` with the pipeline, so a fault there
-can hide from it, and nothing with the p-cover, the spanning-set search
-or the removal certificates.
+enumeration, ``fplinalg.rank`` and ``fplinalg.kernel_image`` with the
+pipeline, so a fault there can hide from it, and nothing with the
+p-cover, the spanning-set search or the removal certificates.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class MultTable:
 
     order: int
     right: tuple[tuple[int, ...], ...]
-    identity: int = 0
 
 
 def multiplication_table(rws: RewriteSystem, cap: int) -> MultTable:
@@ -108,9 +107,10 @@ def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
     """dim H_2(G;F_p) from the Fox-derivative boundary D2 over F_p.
 
     Row (g, i) of D2 is g * d(r_i)/d(x_j) written in the group basis,
-    with column (h, j) at h * k + j for k generators.  With the
-    augmentation block A (row (g, i) has a 1 in column i),
-    rank eps(ker D2) = rank [D2 | A] - rank D2.
+    with column (h, j) at h * k + j for k generators.  With A the
+    augmentation block (row (g, i) has a 1 in column i), rank eps(ker D2)
+    is the rank of the A parts of the rows that die on the D2 columns
+    when [D2 | A] is reduced there, in one elimination of D2.
     Raises ArithmeticError for a relator that does not hold in ``t``.
     """
     _require_prime(p)
@@ -132,9 +132,8 @@ def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
     # the identity rows summed over the column blocks are the exponent sums
     exponents = d2[:r].reshape(r, order, k).sum(axis=1)
     augment = np.tile(np.eye(r, dtype=np.int64), (order, 1))
-    rank_d2 = fplinalg.rank(d2, p)
-    eps_ker = fplinalg.rank(np.hstack([d2, augment]), p) - rank_d2
-    return (r - fplinalg.rank(exponents, p)) - eps_ker
+    _, eps_ker = fplinalg.kernel_image(d2, augment, p)
+    return (r - fplinalg.rank(exponents, p)) - fplinalg.rank(eps_ker, p)
 
 
 def check(

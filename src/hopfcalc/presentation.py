@@ -38,6 +38,7 @@ class ParseError(ValueError):
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
+_NAME_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,16 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
         if stripped.startswith("gens:"):
             if generators is not None:
                 raise ParseError("duplicate gens: line", line_no, indent + 1)
-            names = stripped[len("gens:"):].split()
+            names: list[str] = []
+            for m in _NAME_RE.finditer(content, indent + len("gens:")):
+                g = m.group()
+                if not _IDENT_RE.fullmatch(g):
+                    raise ParseError(f"bad generator name {g!r}", line_no, m.start() + 1)
+                if g in names:
+                    raise ParseError("duplicate generator name", line_no, m.start() + 1)
+                names.append(g)
             if not names:
                 raise ParseError("gens: line lists no generators", line_no, indent + 1)
-            for g in names:
-                if not _IDENT_RE.fullmatch(g):
-                    raise ParseError(f"bad generator name {g!r}", line_no, content.index(g) + 1)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate generator name", line_no, indent + 1)
             generators = tuple(names)
         elif stripped.startswith("rel:"):
             if generators is None:

@@ -96,7 +96,6 @@ class RewriteSystem:
     def __init__(self, arity: int):
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
-        self._lhs_index: dict[bytes, int] = {}
         self._trie: dict = {}
         self._next_id = 0
         self._pending: deque[tuple[bytes, bytes]] = deque()
@@ -114,19 +113,19 @@ class RewriteSystem:
 
     def _insert(self, lhs: bytes, rhs: bytes):
         """Install an oriented rule, interreduce, queue its overlaps."""
-        if lhs in self._lhs_index:
-            old = self.rules[self._lhs_index[lhs]][1]
-            if old != rhs:
-                self._pending.append((rhs, old))
-            return
-        rid = self._next_id
-        self._next_id += 1
-        self.rules[rid] = (lhs, rhs)
-        self._lhs_index[lhs] = rid
         node = self._trie
         for x in reversed(lhs):
             node = node.setdefault(x, {})
+        old = node.get(_RHS)
+        if old is not None:
+            # the left side is installed already
+            if old != rhs:
+                self._pending.append((rhs, old))
+            return
         node[_RHS] = rhs
+        rid = self._next_id
+        self._next_id += 1
+        self.rules[rid] = (lhs, rhs)
         # interreduction: retire rules whose lhs the new rule rewrites,
         # renormalize right sides in place
         for other in list(self.rules):
@@ -157,7 +156,6 @@ class RewriteSystem:
 
     def _retire(self, rid: int):
         lhs, _ = self.rules.pop(rid)
-        del self._lhs_index[lhs]
         # path[i] is the node reached after the last i letters of lhs
         path = [self._trie]
         for x in reversed(lhs):

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,10 +270,13 @@ def test_compute_output_is_byte_identical_across_runs(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the package the tests import, installed or not
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "hopfcalc", "compute", "--corpus", "SL2_ZI", "--prime", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "h1 = 1, h2 = 1 (exact)"

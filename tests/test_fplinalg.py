@@ -67,12 +67,18 @@ def test_left_kernel_empty_input():
     assert la.left_kernel_basis(np.zeros((0, 3), dtype=np.int64), 5).shape == (0, 0)
 
 
-def _span_size(mat, p: int) -> int:
-    """Number of distinct vectors in the row span, by enumerating every
-    coefficient vector; independent of the elimination code."""
+def _combinations(mat, p: int):
+    """Each coefficient vector v with v @ mat mod p, by enumeration;
+    independent of the elimination code."""
     a = np.asarray(mat, dtype=np.int64) % p
-    coeffs = itertools.product(range(p), repeat=a.shape[0])
-    return len({tuple((np.array(c, dtype=np.int64) @ a) % p) for c in coeffs})
+    for c in itertools.product(range(p), repeat=a.shape[0]):
+        v = np.array(c, dtype=np.int64)
+        yield v, (v @ a) % p
+
+
+def _span_size(mat, p: int) -> int:
+    """Number of distinct vectors in the row span."""
+    return len({tuple(x) for _, x in _combinations(mat, p)})
 
 
 @given(fp_matrix())
@@ -81,6 +87,18 @@ def test_rank_matches_the_enumerated_row_span(mp):
     size = _span_size(mat, p)
     assert p ** la.rank(mat, p) == size
     assert p ** len(la.rref(mat, p)[1]) == size
+
+
+@given(fp_matrix(), st.integers(min_value=0, max_value=3), st.data())
+def test_kernel_image_matches_the_enumerated_kernel(mp, q, data):
+    mat, p = mp
+    m = mat.shape[0]
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=m * q, max_size=m * q))
+    right = np.array(cells, dtype=np.int64).reshape(m, q)
+    r, rows = la.kernel_image(mat, right, p)
+    assert r == la.rank(mat, p)
+    image = {tuple((v @ right) % p) for v, x in _combinations(mat, p) if not x.any()}
+    assert {tuple(x) for _, x in _combinations(rows, p)} == image
 
 
 @given(fp_matrix())

@@ -105,7 +105,6 @@ def test_oracle_matches_the_bar_complex():
 
 def test_table_structure():
     assert Z6_TABLE.order == 6
-    assert Z6_TABLE.identity == 0
     tables = ((Z6, Z6_TABLE), (S3, S3_TABLE), (KLEIN, KLEIN_TABLE), (Q8, Q8_TABLE))
     for pres, t in tables:
         n = t.order
@@ -114,6 +113,8 @@ def test_table_structure():
             assert sorted(column) == list(range(n))
             assert [t.right[h][x ^ 1] for h in column] == list(range(n))
         elements = enumerate_elements(knuth_bendix(initial_rules(pres)), n)
+        # bar_h1 and bar_h2 read element 0 as the identity
+        assert elements[0] == words.EMPTY
         for i, w in enumerate(elements):
             g = 0
             for x in w:
@@ -165,6 +166,19 @@ def test_quaternion_anchor():
 def test_symmetric_group_anchor():
     assert homology(S3, S3_TABLE, 3) == (0, 0)
     assert homology(S3, S3_TABLE, 2) == (1, 1)
+
+
+def test_order_500_abelian_anchor():
+    # Kunneth: an abelian group of p-rank d has h1 = d and h2 = d + d(d-1)/2
+    pres = parse_presentation(
+        "gens: a b c\nrel: a^2\nrel: b^10\nrel: c^25\n"
+        "rel: [a,b]\nrel: [a,c]\nrel: [b,c]\n",
+        name="Z2xZ10xZ25",
+    )
+    table = table_for(pres)
+    assert table.order == 500
+    for p in (2, 5):
+        assert homology(pres, table, p) == (2, 3), p
 
 
 def test_check_agrees_on_corpus_groups():

@@ -92,6 +92,20 @@ def test_parse_presentation_rejects(text):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("gens: a s:", "bad generator name 's:'", 9),
+        ("gens: a a", "duplicate generator name", 9),
+        ("  gens: b  a b", "duplicate generator name", 14),
+    ],
+)
+def test_gens_line_errors_point_at_the_name(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), ())
