@@ -16,13 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_fp(mat, p: int) -> np.ndarray:
+def _as_2d(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError("expected a vector or a 2-D matrix")
-    return np.mod(a, p)
+    return a
+
+
+def as_fp(mat, p: int) -> np.ndarray:
+    return np.mod(_as_2d(mat), p)
 
 
 def _inv_mod(x: int, p: int) -> int:
@@ -83,10 +87,16 @@ def kernel_image(mat, right, p: int) -> tuple[int, np.ndarray]:
     restricted to the mat columns.  The rows below the last pivot have a
     dead mat part: they are v @ [mat | right] for v running over a basis
     of the left kernel of mat, and their right parts are returned.
+    Both blocks are reduced mod p straight into the one block array, so
+    no reduced copy of ``mat`` exists beside it.
     """
-    a = as_fp(mat, p)
+    a, b = _as_2d(mat), _as_2d(right)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError("mat and right must have the same number of rows")
     n = a.shape[1]
-    aug = np.concatenate([a, as_fp(right, p)], axis=1)
+    aug = np.empty((a.shape[0], n + b.shape[1]), dtype=np.int64)
+    np.mod(a, p, out=aug[:, :n])
+    np.mod(b, p, out=aug[:, n:])
     r = len(_eliminate(aug, p, n, full=False))
     return r, aug[r:, n:]
 

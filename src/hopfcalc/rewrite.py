@@ -17,7 +17,19 @@ letter at a time and walks the trie back from that letter; the first
 node on the walk that holds a right side is the shortest left side that
 is a suffix of the output, and that is the rule applied. Shortest suffix
 first is the rule every normal form, step count and rule set depends
-on, and it holds whether or not the left sides form an antichain. The
+on, and it holds whether or not the left sides form an antichain.
+
+Overlaps come from a second pair of indexes, from each proper prefix and
+each proper suffix of a live left side to the rules that have it. Two
+left sides overlap by k letters exactly when the first's suffix of
+length k is the second's prefix of length k, so a new left side finds
+its partners by looking up its own suffixes among the prefixes and its
+prefixes among the suffixes, without visiting the rules it cannot
+overlap.
+
+Counting elements stops as soon as the irreducible words are seen to be
+infinitely many (see ``enumerate_elements``), so an infinite group with
+a finite confluent system costs a few words, not the whole cap. The
 public API speaks letter tuples.
 """
 
@@ -90,6 +102,12 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
 _RHS = -1  # key under which a trie node holds its rule's right side
 
 
+def _holders(index: dict, affix: bytes):
+    """The ids an affix index holds under ``affix``, as an iterable."""
+    ids = index.get(affix, ())
+    return (ids,) if type(ids) is int else ids
+
+
 class RewriteSystem:
     """Mutable during completion, then treated as immutable."""
 
@@ -97,6 +115,10 @@ class RewriteSystem:
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
         self._trie: dict = {}
+        # proper prefix / proper suffix of a live left side -> the id of
+        # the rule that has it, or a list of ids when several have it
+        self._prefixes: dict[bytes, int | list[int]] = {}
+        self._suffixes: dict[bytes, int | list[int]] = {}
         self._next_id = 0
         self._pending: deque[tuple[bytes, bytes]] = deque()
         self._pairs: list[tuple[int, int, int, int, int]] = []
@@ -112,7 +134,19 @@ class RewriteSystem:
     # -- rule bookkeeping ------------------------------------------------
 
     def _insert(self, lhs: bytes, rhs: bytes):
-        """Install an oriented rule, interreduce, queue its overlaps."""
+        """Install an oriented rule, interreduce, queue its overlaps.
+
+        The overlaps of the new left side L are read from the affix
+        indexes.  Each proper suffix of L held by the prefix index names
+        a rule j with L's last k letters as its first k: the pair
+        (L, j, k).  Each proper prefix of L held by the suffix index
+        names a pair (i, L, k) the same way.  They are queued sorted by
+        (other rule's id, L first or second, k), then L's overlaps with
+        itself, which is the order of a scan of every live rule by id,
+        so the pairs get the same sequence numbers and the completion
+        takes the same course.  Interreduction runs first, so retired
+        rules are out of the indexes by then.
+        """
         node = self._trie
         for x in reversed(lhs):
             node = node.setdefault(x, {})
@@ -139,14 +173,35 @@ class RewriteSystem:
                 nr = self._nf(r)
                 self.rules[other] = (l, nr)
                 self._trie_node(l)[_RHS] = nr
-        # overlap queue
-        for other in list(self.rules):
-            if other == rid:
-                self._queue_overlaps(rid, rid)
+        # overlap queue, charged as a scan of the other live rules
+        self.steps += 2 * (len(self.rules) - 1)
+        n = len(lhs)
+        hits = [(rid, 0, k) for k in range(1, n) if lhs.endswith(lhs[:k])]
+        for k in range(1, n):
+            for other in _holders(self._prefixes, lhs[-k:]):
+                hits.append((other, 0, k))
+            for other in _holders(self._suffixes, lhs[:k]):
+                hits.append((other, 1, k))
+        hits.sort()
+        for other, backwards, k in hits:
+            i, j = (other, rid) if backwards else (rid, other)
+            length = n + len(self.rules[other][0]) - k
+            heapq.heappush(self._pairs, (length, self._seq, i, j, k))
+            self._seq += 1
+        for index, affix in self._affixes(lhs):
+            ids = index.get(affix)
+            if ids is None:
+                index[affix] = rid
+            elif type(ids) is int:
+                index[affix] = [ids, rid]
             else:
-                self.steps += 2
-                self._queue_overlaps(rid, other)
-                self._queue_overlaps(other, rid)
+                ids.append(rid)
+
+    def _affixes(self, lhs: bytes):
+        """(index, affix) for each proper prefix and proper suffix of lhs."""
+        for k in range(1, len(lhs)):
+            yield self._prefixes, lhs[:k]
+            yield self._suffixes, lhs[-k:]
 
     def _trie_node(self, lhs: bytes) -> dict:
         node = self._trie
@@ -165,24 +220,14 @@ class RewriteSystem:
             if path[i]:
                 break
             del path[i - 1][lhs[-i]]
-
-    def _queue_overlaps(self, i: int, j: int):
-        """Queue every k where a proper suffix of li equals a prefix of lj.
-
-        Only positions holding lj's first letter can start one; rfind
-        visits them from the end back, so k ascends.
-        """
-        li = self.rules[i][0]
-        lj = self.rules[j][0]
-        n = len(li)
-        lo = n - min(n, len(lj)) + 1
-        pos = li.rfind(lj[0], lo)
-        while pos >= 0:
-            k = n - pos
-            if li.endswith(lj[:k]):
-                heapq.heappush(self._pairs, (n + len(lj) - k, self._seq, i, j, k))
-                self._seq += 1
-            pos = li.rfind(lj[0], lo, pos)
+        for index, affix in self._affixes(lhs):
+            ids = index[affix]
+            if type(ids) is int:
+                del index[affix]
+            else:
+                ids.remove(rid)
+                if len(ids) == 1:
+                    index[affix] = ids[0]
 
     # -- reduction --------------------------------------------------------
 
@@ -325,10 +370,23 @@ def reduce_with_allowance(rws: RewriteSystem, word: Word, allowance: list[int]) 
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
-    """All irreducible words in shortlex order; Overflow when more than cap."""
+    """All irreducible words in shortlex order; Overflow when more than cap.
+
+    Overflow also comes at once when the words are infinitely many.  Let
+    c be the longest left side's length less one.  For an irreducible
+    w, w·x is irreducible iff no left side ends it, which depends only
+    on the last c letters of w and on x.  So when a new irreducible
+    word u has its last c letters s also ending at some position
+    c <= i < |u|, reading u[i:] from s leads back to s through
+    irreducible words only, and every u[:i]·u[i:]^m is irreducible: the
+    language, and the group, is infinite.  A finite language never
+    shows such a repeat, so a finite group is enumerated in full or
+    overflows at the cap, as without the test.
+    """
     if not rws.confluent:
         raise ValueError("element enumeration requires a confluent system")
     alphabet = range(2 * rws.arity)
+    c = max((len(lhs) for lhs, _ in rws.rules.values()), default=1) - 1
     found: list[bytes] = [b""]
     layer: list[bytes] = [b""]
     while layer:
@@ -337,6 +395,9 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
             for x in alphabet:
                 cand = w + bytes([x])
                 if not rws._ends_with_lhs(cand):
+                    m = len(cand)
+                    if m > c and cand.find(cand[m - c:], 0, m - 1) >= 0:
+                        raise Overflow("infinitely many irreducible words")
                     nxt.append(cand)
                     if len(found) + len(nxt) > cap:
                         raise Overflow(f"more than {cap} irreducible words")

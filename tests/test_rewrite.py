@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from hopfcalc import words
 from hopfcalc.hopf import build_p_cover
-from hopfcalc.presentation import corpus, parse_presentation
+from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import (
     _RHS,
     Budget,
     Overflow,
+    RewriteSystem,
     StepLimitExceeded,
     dump_rules,
     enumerate_elements,
@@ -283,3 +284,159 @@ def test_completion_trace_is_pinned(name, p, steps, rules, digest):
     assert len(rws.rules) == rules
     text = dump_rules(rws, cover.generators)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def live_affixes(rws):
+    """Proper prefix and proper suffix of each live left side -> rule ids."""
+    prefixes, suffixes = {}, {}
+    for rid, (lhs, _) in rws.rules.items():
+        for k in range(1, len(lhs)):
+            prefixes.setdefault(lhs[:k], set()).add(rid)
+            suffixes.setdefault(lhs[-k:], set()).add(rid)
+    return prefixes, suffixes
+
+
+def test_overlap_index_holds_exactly_the_live_affixes():
+    full = completed(corpus("SL2_F3"))
+    full_cover = completed(build_p_cover(corpus("SL2_F2"), 2))
+    for rws in (partial_cover(), full, full_cover):
+        assert rws._next_id > len(rws.rules), "no rule was retired"
+        prefixes, suffixes = live_affixes(rws)
+        for index, reference in ((rws._prefixes, prefixes), (rws._suffixes, suffixes)):
+            held = {}
+            for affix, ids in index.items():
+                if isinstance(ids, int):
+                    held[affix] = {ids}
+                else:
+                    # one id is held bare, never as a list
+                    assert len(ids) == len(set(ids)) >= 2
+                    held[affix] = set(ids)
+            # an emptied entry left behind would hold the empty set here
+            assert held == reference
+    assert full.confluent and full_cover.confluent
+
+
+def all_pairs_overlaps(rws, rid):
+    """The pushes of an all-pairs scan after rule rid is installed.
+
+    Against every other live rule in id order: each k with a proper
+    suffix of the new left side equal to a proper prefix of the other,
+    then the other way round, k ascending; then rid against itself.
+    """
+    def overlaps(i, j):
+        li, lj = rws.rules[i][0], rws.rules[j][0]
+        return [(i, j, k) for k in range(1, min(len(li), len(lj))) if li[-k:] == lj[:k]]
+
+    out = []
+    for other in sorted(rws.rules):
+        if other != rid:
+            out += overlaps(rid, other) + overlaps(other, rid)
+    return out + overlaps(rid, rid)
+
+
+def overlap_pushes(pres, steps):
+    """(pushed, reference) for each insert of a budget-limited completion.
+
+    The entries an insert pushes are read back from the pair heap by
+    their sequence numbers, which no pop removes within one insert.
+    """
+    log = []
+    original = RewriteSystem._insert
+
+    def insert(self, lhs, rhs):
+        seq, rid = self._seq, self._next_id
+        original(self, lhs, rhs)
+        pushed = sorted((e for e in self._pairs if e[1] >= seq), key=lambda e: e[1])
+        for length, _, i, j, k in pushed:
+            assert length == len(self.rules[i][0]) + len(self.rules[j][0]) - k
+        expected = all_pairs_overlaps(self, rid) if self._next_id > rid else []
+        log.append(([e[2:] for e in pushed], expected))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", insert)
+        knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
+    return log
+
+
+@given(
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(min_value=0, max_value=2 * n - 1), max_size=7),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    ),
+    st.sampled_from([None, 2, 3]),
+    st.integers(min_value=20, max_value=1500),
+)
+def test_overlap_index_pushes_what_an_all_pairs_scan_pushes(shape, p, steps):
+    arity, relators = shape
+    pres = Presentation(
+        generators=("a", "b")[:arity],
+        relators=tuple(words.free_reduce(tuple(r)) for r in relators),
+    )
+    if p is not None:
+        pres = build_p_cover(pres, p)
+    for pushed, expected in overlap_pushes(pres, steps):
+        assert pushed == expected
+
+
+def reference_elements(rws):
+    """Normal forms of the group's elements, closed under right letters."""
+    seen = {()}
+    queue = [()]
+    for w in queue:
+        for x in range(2 * rws.arity):
+            v = normal_form(rws, w + (x,))
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return sorted(seen, key=lambda w: (len(w), w))
+
+
+FINITE = [
+    corpus("SL2_F2"),
+    corpus("SL2_F3"),
+    *(parse_presentation(f"gens: a\nrel: a^{n}\n", name=f"Z{n}") for n in range(1, 25)),
+    parse_presentation("gens: r s\nrel: r^4\nrel: s^2\nrel: (s*r)^2\n", name="D4"),
+    parse_presentation("gens: a b\nrel: a^4\nrel: a^2*b^-2\nrel: b^-1*a*b*a\n", name="Q8"),
+    # every left side has length 1, so no letter of context decides
+    parse_presentation("gens: a\nrel: a\n", name="trivial"),
+]
+
+
+@pytest.mark.parametrize("pres", FINITE, ids=lambda pres: pres.name)
+def test_enumeration_matches_a_reference_closure(pres):
+    rws = completed(pres)
+    elements = enumerate_elements(rws, 10**6)
+    assert elements == reference_elements(rws)
+    assert group_order(rws, len(elements)) == len(elements)
+    if len(elements) > 1:
+        assert group_order(rws, len(elements) - 1) is None
+
+
+def test_trivial_group_has_only_length_one_left_sides():
+    rws = completed(parse_presentation("gens: a\nrel: a\n"))
+    assert {len(lhs) for lhs, _ in rws.rules.values()} == {1}
+    assert enumerate_elements(rws, 1) == [()]
+
+
+def test_enumeration_cap_is_exact_on_z24():
+    rws = completed(parse_presentation("gens: a\nrel: a^24\n"))
+    with pytest.raises(Overflow):
+        enumerate_elements(rws, 23)
+    assert len(enumerate_elements(rws, 24)) == 24
+
+
+@pytest.mark.parametrize("pres", [FREE2, *map(corpus, ("SL2_Z", "PSL2_Z", "GL2_Z"))],
+                         ids=lambda pres: pres.name)
+def test_infinite_groups_stop_without_reaching_the_cap(pres):
+    # enumerating up to the cap would not end; the pumping test ends it
+    rws = completed(pres)
+    assert rws.confluent
+    assert group_order(rws, 10**12) is None
+    with pytest.raises(Overflow):
+        enumerate_elements(rws, 10**12)
