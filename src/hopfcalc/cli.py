@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simplify", help="substitute generators and tidy relators")
     _add_source_flags(s)
     s.add_argument("--map", metavar="FILE", default=None, help="substitution map file")
-    s.add_argument("--format", choices=FORMATS, default="text")
+    s.add_argument("--format", choices=("text", "json"), default="text")
     s.set_defaults(func=cmd_simplify)
 
     o = sub.add_parser("oracle-check", help="compare pipeline against the oracle")
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--prime", type=int, default=None)
     o.add_argument("--primes", metavar="P1,P2,...", default=None)
     o.add_argument("--max-order", type=int, default=oracle.DEFAULT_CAP)
-    o.add_argument("--format", choices=FORMATS, default="text")
+    o.add_argument("--format", choices=("text", "json", "csv"), default="text")
     _add_budget_flags(o)
     o.set_defaults(func=cmd_oracle_check)
     return parser
@@ -183,6 +183,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _bounded(value: int, kind: BoundKind) -> str:
     return str(value) if kind is BoundKind.EXACT else f"≤{value}"
 
@@ -211,27 +217,16 @@ def cmd_compute(args) -> int:
 
 
 def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
+    record = to_json(r)
     if fmt == "json":
-        return json.dumps(to_json(r), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(record, indent=2, ensure_ascii=False) + "\n"
     scalars = [
-        ("group", r.group or ""),
-        ("prime", r.prime),
-        ("n_generators", r.n_generators),
-        ("h1_dim", r.h1_dim),
-        ("dim_A", r.dim_a),
-        ("dim_A_kind", r.h2_kind.value),
-        ("rank_image", r.rank_image),
-        ("h2_value", r.h2_value),
-        ("h2_kind", r.h2_kind.value),
-        ("confluent_base", r.confluent_base),
-        ("confluent_cover", r.confluent_cover),
+        (k, "" if v is None else v)
+        for k, v in record.items()
+        if not isinstance(v, (list, dict))
     ]
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow([k for k, _ in scalars])
-        w.writerow([v for _, v in scalars])
-        return buf.getvalue()
+        return _csv(zip(*scalars))
     if fmt == "markdown":
         lines = ["| field | value |", "|---|---|"]
         lines.extend(f"| {k} | {v} |" for k, v in scalars)
@@ -289,14 +284,12 @@ def _render_table(names, primes, results, fmt: str) -> str:
         ]
         return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["group", "prime", "h1", "h2", "h2_kind"])
+        rows = [["group", "prime", "h1", "h2", "h2_kind"]]
         for name in names:
             for p in primes:
                 r = results[name, p]
-                w.writerow([name, p, r.h1_dim, r.h2_value, r.h2_kind.value])
-        return buf.getvalue()
+                rows.append([name, p, r.h1_dim, r.h2_value, r.h2_kind.value])
+        return _csv(rows)
     header = ["group"] + [f"p={p}" for p in primes]
     h1_rows = [
         [name] + [str(results[name, p].h1_dim) for p in primes] for name in names
@@ -371,13 +364,8 @@ def cmd_oracle_check(args) -> int:
     if args.format == "json":
         _emit(json.dumps(reports, indent=2, ensure_ascii=False) + "\n")
     elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        keys = list(reports[0].keys())
-        w.writerow(keys)
-        for rep in reports:
-            w.writerow([rep[k] for k in keys])
-        _emit(buf.getvalue())
+        keys = list(reports[0])
+        _emit(_csv([keys] + [[rep[k] for k in keys] for rep in reports]))
     else:
         lines = []
         for rep in reports:

@@ -191,10 +191,40 @@ def _test_word(
     )
 
 
+def _products(target, others, rows, p):
+    """Factor lists over ``others`` whose product has image ``target``, in search order.
+
+    First ``()`` when ``target`` is zero, then each single member with
+    residues 0..p-1, then the pairs m1 < m2 with residues 1..p-1.  A
+    residue r is lifted to the exponents r and r - p, residue 0 to p and
+    -p.  The pair index is built only when the stream reaches the pairs.
+    """
+    if not any(target):
+        yield ()
+    for m in others:
+        for res in range(p):
+            if _scale_row(rows[m], res, p) == target:
+                # exponent 0 mod p still contributes a p-th power word
+                for e in (p, -p) if res == 0 else (res, res - p):
+                    yield ((m, e),)
+    by_scaled: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for m in others:
+        for res in range(1, p):
+            by_scaled.setdefault(_scale_row(rows[m], res, p), []).append((m, res))
+    for m1 in others:
+        for res1 in range(1, p):
+            left = _scale_row(rows[m1], res1, p)
+            need = tuple((t - x) % p for t, x in zip(target, left))
+            for m2, res2 in by_scaled.get(need, ()):
+                if m2 > m1:
+                    for e1 in (res1, res1 - p):
+                        for e2 in (res2, res2 - p):
+                            yield ((m1, e1), (m2, e2))
+
+
 def _reduce_spanning(
     spanning: Sequence[Word],
     rows: Sequence[tuple[int, ...]],
-    n: int,
     cover: RewriteSystem,
     p: int,
     budget: Budget,
@@ -203,72 +233,34 @@ def _reduce_spanning(
 
     A member is dropped when it equals a product of at most two other
     live members (integer exponents up to p in absolute value) in the
-    cover group.  The abelianized images are matched first, which is a
-    cheap necessary condition; only matching products are then checked
-    with normal forms, all charged against one shared step allowance.
-    Passes repeat until nothing changes or the allowance runs dry.
-    Every removal is recorded as a replayable certificate.
+    cover group.  ``_products`` streams the candidate products whose
+    abelianized image matches, a cheap necessary condition; the first
+    whose test word has cover normal form ε removes the member, all
+    normal forms charged against one shared step allowance.  Passes
+    repeat until nothing changes or the allowance runs dry.  Every
+    removal is recorded as a replayable certificate.
     """
     live = list(range(len(spanning)))
     certs: list[RemovalCertificate] = []
     cell = [budget.max_steps]
     passes = 0
     exhausted = False
-    zero = (0,) * n
-
-    def is_trivial(ridx: int, factors: tuple[tuple[int, int], ...]) -> bool:
-        test = _test_word(spanning, ridx, factors)
-        return reduce_with_allowance(cover, test, cell) == words.EMPTY
-
-    def attempt(ridx: int):
-        target = rows[ridx]
-        others = [m for m in live if m != ridx]
-        if target == zero and is_trivial(ridx, ()):
-            return ()
-        for m in others:
-            row_m = rows[m]
-            for res in range(p):
-                if _scale_row(row_m, res, p) != target:
-                    continue
-                # exponent 0 mod p still contributes a p-th power word
-                lifts = (p, -p) if res == 0 else (res, res - p)
-                for e in lifts:
-                    if is_trivial(ridx, ((m, e),)):
-                        return ((m, e),)
-        by_scaled: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for m in others:
-            for res in range(1, p):
-                by_scaled.setdefault(_scale_row(rows[m], res, p), []).append(
-                    (m, res)
-                )
-        for m1 in others:
-            row1 = rows[m1]
-            for res1 in range(1, p):
-                left = _scale_row(row1, res1, p)
-                need = tuple((t - x) % p for t, x in zip(target, left))
-                for m2, res2 in by_scaled.get(need, ()):
-                    if m2 <= m1:
-                        continue
-                    for e1 in (res1, res1 - p):
-                        for e2 in (res2, res2 - p):
-                            factors = ((m1, e1), (m2, e2))
-                            if is_trivial(ridx, factors):
-                                return factors
-        return None
-
     try:
         changed = True
         while changed:
             changed = False
             passes += 1
             for ridx in list(live):
-                factors = attempt(ridx)
-                if factors is None:
-                    continue
-                live.remove(ridx)
-                test = _test_word(spanning, ridx, factors)
-                certs.append(RemovalCertificate(ridx, spanning[ridx], factors, test))
-                changed = True
+                others = [m for m in live if m != ridx]
+                for factors in _products(rows[ridx], others, rows, p):
+                    test = _test_word(spanning, ridx, factors)
+                    if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+                        live.remove(ridx)
+                        certs.append(
+                            RemovalCertificate(ridx, spanning[ridx], factors, test)
+                        )
+                        changed = True
+                        break
     except StepLimitExceeded:
         exhausted = True
 
@@ -278,10 +270,7 @@ def _reduce_spanning(
 
 
 def replay_certificate(
-    cert: RemovalCertificate,
-    spanning: Sequence[Word],
-    cover: RewriteSystem,
-    max_steps: int | None = None,
+    cert: RemovalCertificate, spanning: Sequence[Word], cover: RewriteSystem
 ) -> bool:
     """Recheck a removal certificate from scratch against the cover system."""
     if cert.removed_word != spanning[cert.removed_index]:
@@ -289,7 +278,7 @@ def replay_certificate(
     test = _test_word(spanning, cert.removed_index, cert.factors)
     if test != cert.test_word:
         return False
-    return normal_form(cover, test, max_steps) == words.EMPTY
+    return normal_form(cover, test) == words.EMPTY
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +289,13 @@ def run_pipeline(
     pres: Presentation,
     p: int,
     budget: Budget = DEFAULT_BUDGET,
-    order_cap: int = ORDER_CAP,
 ) -> HopfResult:
     """Run the whole computation for one presentation at one prime."""
     _require_prime(p)
     base = knuth_bendix(initial_rules(pres), budget)
     cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
-    base_order = group_order(base, order_cap)
-    cover_order = group_order(cover, order_cap)
+    base_order = group_order(base, ORDER_CAP)
+    cover_order = group_order(cover, ORDER_CAP)
     dim_a = _order_dim_a(base_order, cover_order, p)
 
     n = pres.arity
@@ -318,9 +306,7 @@ def run_pipeline(
     h1 = h1_dimension(pres, p)
     rank_all = n - h1
 
-    live, certs, search = _reduce_spanning(
-        spanning_all, all_rows, n, cover, p, budget
-    )
+    live, certs, search = _reduce_spanning(spanning_all, all_rows, cover, p, budget)
     final = [spanning_all[i] for i in live]
     mat = image_matrix(final, n, p)
     rank = fplinalg.rank(mat, p)

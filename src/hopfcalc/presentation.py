@@ -168,6 +168,21 @@ def parse_word(text: str, generators: tuple[str, ...] | list[str], line_no: int 
     return w
 
 
+def _names(content: str, indent: int, key: str, line_no: int) -> tuple[str, ...]:
+    """The distinct generator names listed after ``key`` on a line."""
+    names: list[str] = []
+    for m in _NAME_RE.finditer(content, indent + len(key)):
+        g = m.group()
+        if not _IDENT_RE.fullmatch(g):
+            raise ParseError(f"bad generator name {g!r}", line_no, m.start() + 1)
+        if g in names:
+            raise ParseError("duplicate generator name", line_no, m.start() + 1)
+        names.append(g)
+    if not names:
+        raise ParseError(f"{key} line lists no generators", line_no, indent + 1)
+    return tuple(names)
+
+
 def parse_presentation(text: str, name: str | None = None) -> Presentation:
     generators: tuple[str, ...] | None = None
     relators: list[Word] = []
@@ -177,17 +192,7 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
         if stripped.startswith("gens:"):
             if generators is not None:
                 raise ParseError("duplicate gens: line", line_no, indent + 1)
-            names: list[str] = []
-            for m in _NAME_RE.finditer(content, indent + len("gens:")):
-                g = m.group()
-                if not _IDENT_RE.fullmatch(g):
-                    raise ParseError(f"bad generator name {g!r}", line_no, m.start() + 1)
-                if g in names:
-                    raise ParseError("duplicate generator name", line_no, m.start() + 1)
-                names.append(g)
-            if not names:
-                raise ParseError("gens: line lists no generators", line_no, indent + 1)
-            generators = tuple(names)
+            generators = _names(content, indent, "gens:", line_no)
         elif stripped.startswith("rel:"):
             if generators is None:
                 raise ParseError("rel: before gens:", line_no, indent + 1)
@@ -195,11 +200,7 @@ def parse_presentation(text: str, name: str | None = None) -> Presentation:
             body = content[body_col:]
             if not body.strip():
                 raise ParseError("empty relator", line_no, body_col + 1)
-            gen_index = {g: i for i, g in enumerate(generators)}
-            p = _WordParser(body, line_no, body_col, gen_index)
-            w = p.parse_word()
-            p.finish()
-            relators.append(w)
+            relators.append(parse_word(body, generators, line_no, body_col))
         else:
             raise ParseError("expected 'gens:' or 'rel:' line", line_no, indent + 1)
     if generators is None:
@@ -244,10 +245,7 @@ def parse_substitution(text: str) -> SubstitutionMap:
         if stripped.startswith("targets:"):
             if targets is not None:
                 raise ParseError("duplicate targets: line", line_no, indent + 1)
-            names = stripped[len("targets:"):].split()
-            if not names or len(set(names)) != len(names):
-                raise ParseError("bad targets: line", line_no, indent + 1)
-            targets = tuple(names)
+            targets = _names(content, indent, "targets:", line_no)
         elif stripped.startswith("map:"):
             if targets is None:
                 raise ParseError("map: before targets:", line_no, indent + 1)
@@ -260,13 +258,8 @@ def parse_substitution(text: str) -> SubstitutionMap:
                 raise ParseError(f"bad source generator {src!r}", line_no, indent + 1)
             if src in sources:
                 raise ParseError(f"duplicate map for {src!r}", line_no, indent + 1)
-            col_base = len(content) - len(img)
-            gen_index = {g: i for i, g in enumerate(targets)}
-            p = _WordParser(img, line_no, col_base, gen_index)
-            w = p.parse_word()
-            p.finish()
+            images.append(parse_word(img, targets, line_no, len(content) - len(img)))
             sources.append(src)
-            images.append(w)
         else:
             raise ParseError("expected 'targets:' or 'map:' line", line_no, indent + 1)
     if targets is None:

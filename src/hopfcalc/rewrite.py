@@ -12,9 +12,10 @@ pipeline needs from partial systems).
 Internally words are bytes objects (one letter per byte), so
 interreduction and overlap detection are substring work done at C speed.
 Rule lookup goes through one index: a trie of the left sides read
-backwards, from the last letter to the first. Reduction appends one
+backwards, from the last letter to the first, whose nodes hold rule
+ids; ``rules`` is the only store of right sides. Reduction appends one
 letter at a time and walks the trie back from that letter; the first
-node on the walk that holds a right side is the shortest left side that
+node on the walk that holds a rule id is the shortest left side that
 is a suffix of the output, and that is the rule applied. Shortest suffix
 first is the rule every normal form, step count and rule set depends
 on, and it holds whether or not the left sides form an antichain.
@@ -36,6 +37,7 @@ public API speaks letter tuples.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -99,7 +101,7 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     return min(candidates, key=lambda lr: (len(lr[0]), lr[0], lr[1]))
 
 
-_RHS = -1  # key under which a trie node holds its rule's right side
+_RHS = -1  # key under which a trie node holds the id of its rule
 
 
 def _holders(index: dict, affix: bytes):
@@ -153,11 +155,12 @@ class RewriteSystem:
         old = node.get(_RHS)
         if old is not None:
             # the left side is installed already
-            if old != rhs:
-                self._pending.append((rhs, old))
+            old_rhs = self.rules[old][1]
+            if old_rhs != rhs:
+                self._pending.append((rhs, old_rhs))
             return
-        node[_RHS] = rhs
         rid = self._next_id
+        node[_RHS] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
         # interreduction: retire rules whose lhs the new rule rewrites,
@@ -170,9 +173,7 @@ class RewriteSystem:
                 self._retire(other)
                 self._pending.append((l, r))
             elif lhs in r:
-                nr = self._nf(r)
-                self.rules[other] = (l, nr)
-                self._trie_node(l)[_RHS] = nr
+                self.rules[other] = (l, self._nf(r))
         # overlap queue, charged as a scan of the other live rules
         self.steps += 2 * (len(self.rules) - 1)
         n = len(lhs)
@@ -203,12 +204,6 @@ class RewriteSystem:
             yield self._prefixes, lhs[:k]
             yield self._suffixes, lhs[-k:]
 
-    def _trie_node(self, lhs: bytes) -> dict:
-        node = self._trie
-        for x in reversed(lhs):
-            node = node[x]
-        return node
-
     def _retire(self, rid: int):
         lhs, _ = self.rules.pop(rid)
         # path[i] is the node reached after the last i letters of lhs
@@ -236,7 +231,7 @@ class RewriteSystem:
 
         Letters move one at a time from ``pending`` to ``out``, which
         stays irreducible. After each append the trie is walked back from
-        the new last letter; the first node holding a right side is the
+        the new last letter; the first node holding a rule id is the
         shortest left side ending there, and it is rewritten at once, its
         right side going back onto ``pending``.
 
@@ -245,6 +240,7 @@ class RewriteSystem:
         charged to the completion step counter.
         """
         trie = self._trie
+        rules = self.rules
         out = bytearray()
         pending = bytearray(word[::-1])
         while pending:
@@ -256,10 +252,10 @@ class RewriteSystem:
                 node = node.get(out[i])
                 if node is None:
                     break
-                rhs = node.get(_RHS)
-                if rhs is not None:
+                rid = node.get(_RHS)
+                if rid is not None:
                     del out[i:]
-                    pending.extend(rhs[::-1])
+                    pending.extend(rules[rid][1][::-1])
                     if allowance is None:
                         self.steps += 1
                     else:
@@ -268,6 +264,13 @@ class RewriteSystem:
                             raise StepLimitExceeded
                     break
         return bytes(out)
+
+    def _equation(self, u: bytes, v: bytes) -> tuple[bytes, bytes] | None:
+        """Reduce both sides: None when they meet, else the rule they give."""
+        un, vn = self._nf(u), self._nf(v)
+        if un == vn:
+            return None
+        return _shortlex_max_first(un, vn)
 
     def _ends_with_lhs(self, word: bytes) -> bool:
         """Whether some left side is a suffix of word: _nf's walk."""
@@ -300,12 +303,9 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
         rws._pending.append((bytes(lhs), bytes(rhs)))
     # drain only the orientation queue; overlaps wait for knuth_bendix
     while rws._pending:
-        u, v = rws._pending.popleft()
-        un, vn = rws._nf(u), rws._nf(v)
-        if un == vn:
-            continue
-        lhs, rhs = _shortlex_max_first(un, vn)
-        rws._insert(lhs, rhs)
+        rule = rws._equation(*rws._pending.popleft())
+        if rule is not None:
+            rws._insert(*rule)
     # with only the inverse rules present, the overlaps x·x^-1·x join
     # trivially, so a relator-free system is confluent as it stands
     rws.confluent = trivial
@@ -321,10 +321,10 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
         if rws._pending:
             u, v = rws._pending.popleft()
             rws.steps += 1
-            un, vn = rws._nf(u), rws._nf(v)
-            if un == vn:
+            rule = rws._equation(u, v)
+            if rule is None:
                 continue
-            lhs, rhs = _shortlex_max_first(un, vn)
+            lhs, rhs = rule
             if len(lhs) > budget.max_rule_length:
                 rws.limited = True
                 continue
@@ -349,14 +349,9 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
 
 
 def normal_form(rws: RewriteSystem, word: Word, max_steps: int | None = None) -> Word:
-    wb = bytes(words.free_reduce(word))
-    if max_steps is None:
-        before = rws.steps
-        out = rws._nf(wb)
-        rws.steps = before
-        return tuple(out)
-    cell = [max_steps]
-    return tuple(rws._nf(wb, allowance=cell))
+    """Normal form; StepLimitExceeded past ``max_steps`` rewrites, if given."""
+    allowance = [math.inf if max_steps is None else max_steps]
+    return reduce_with_allowance(rws, word, allowance)
 
 
 def reduce_with_allowance(rws: RewriteSystem, word: Word, allowance: list[int]) -> Word:
@@ -385,6 +380,8 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
     """
     if not rws.confluent:
         raise ValueError("element enumeration requires a confluent system")
+    if cap < 1:  # the identity alone is more than cap words
+        raise Overflow(f"more than {cap} irreducible words")
     alphabet = range(2 * rws.arity)
     c = max((len(lhs) for lhs, _ in rws.rules.values()), default=1) - 1
     found: list[bytes] = [b""]

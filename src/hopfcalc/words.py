@@ -10,6 +10,7 @@ comparison of the int tuples.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
 Word = Tuple[int, ...]
@@ -44,17 +45,10 @@ def concat(*words: Sequence[int]) -> Word:
     """Product of freely reduced words, freely reduced.
 
     Only boundary cancellation is needed when the inputs are reduced,
-    but feeding everything through the same stack keeps this safe for
+    but feeding everything through ``free_reduce`` keeps this safe for
     arbitrary letter sequences too.
     """
-    out: list[int] = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == x ^ 1:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return free_reduce(chain.from_iterable(words))
 
 
 def invert(word: Sequence[int]) -> Word:

@@ -123,6 +123,30 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--corpus", "SL2_F2")[0] == 1  # argparse: no prime
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simplify", "--corpus", "SL2_F2", "--format", "csv"),
+        ("simplify", "--corpus", "SL2_F2", "--format", "markdown"),
+        ("oracle-check", "--corpus", "SL2_F2", "--prime", "2", "--format", "markdown"),
+    ],
+)
+def test_formats_a_command_cannot_render_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "invalid choice" in err
+
+
+def test_oracle_check_csv(capsys):
+    code, out, _ = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--primes", "2,3", "--format", "csv"
+    )
+    assert code == 0
+    head, *rows = out.splitlines()
+    assert head.startswith("group,prime,")
+    assert [row.split(",")[:2] for row in rows] == [["SL2_F2", "2"], ["SL2_F2", "3"]]
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "compute", "--corpus", "NOPE", "--prime", "2")[0] == 2
     assert run(capsys, "compute", "--corpus", "SL2_F2", "--prime", "4")[0] == 2

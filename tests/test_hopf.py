@@ -1,6 +1,7 @@
 """Pipeline behavior on small presentations with known homology."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -17,8 +18,8 @@ from hopfcalc.hopf import (
     run_pipeline,
     to_json,
 )
-from hopfcalc.presentation import corpus, parse_presentation
-from hopfcalc.rewrite import initial_rules, knuth_bendix
+from hopfcalc.presentation import corpus, corpus_names, parse_presentation
+from hopfcalc.rewrite import Budget, initial_rules, knuth_bendix
 
 Z5 = parse_presentation("gens: a\nrel: a^5\n", name="Z5")
 TORUS = parse_presentation("gens: a b\nrel: [a,b]\n", name="torus")
@@ -200,3 +201,24 @@ def test_pipeline_is_deterministic():
     a = to_json(run_pipeline(corpus("SL2_F3"), 3))
     b = to_json(run_pipeline(corpus("SL2_F3"), 3))
     assert a == b
+
+
+def test_pipeline_records_are_pinned():
+    # every corpus entry at every table prime on a small budget, plus
+    # SL2_F2 at p=3 in full: removals by the empty, single and pair
+    # products all occur, so a change to the search order, the cover
+    # system or the step accounting shows up here
+    cells = [
+        (corpus(name), p, Budget(max_steps=3000))
+        for name in corpus_names()
+        for p in (2, 3, 5, 7)
+    ]
+    cells.append((corpus("SL2_F2"), 3, Budget()))
+    h = hashlib.sha256()
+    for pres, p, budget in cells:
+        res = run_pipeline(pres, p, budget)
+        h.update(json.dumps(to_json(res), ensure_ascii=False).encode())
+        h.update(repr(res.certificates).encode())
+    assert h.hexdigest() == (
+        "c3cd1fc83235b9b601d0fe79a49ce9052ca011ec10a9b74f38e7284356bbe809"
+    )

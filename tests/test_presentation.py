@@ -106,6 +106,21 @@ def test_gens_line_errors_point_at_the_name(text, message, col):
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("targets: 1x y", "bad generator name '1x'", 10),
+        ("targets: x x", "duplicate generator name", 12),
+        ("  targets: y  x y", "duplicate generator name", 17),
+        ("targets:", "targets: line lists no generators", 1),
+    ],
+)
+def test_targets_line_errors_point_at_the_name(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_substitution(text + "\nmap: a -> y\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), ())

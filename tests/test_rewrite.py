@@ -237,13 +237,13 @@ def test_partial_cover_index_holds_exactly_the_live_rules():
     def walk(node, suffix):
         for key, child in node.items():
             if key == _RHS:
-                found.add((suffix, child))
+                found.add((suffix, child))  # left side, rule id
             else:
                 assert child, "emptied trie node left behind"
                 walk(child, bytes([key]) + suffix)
 
     walk(rws._trie, b"")
-    assert found == set(rws.rules.values())
+    assert found == {(lhs, rid) for rid, (lhs, _) in rws.rules.items()}
     for lhs, _ in rws.rules.values():
         cell = [10**6]
         nf = reduce_with_allowance(rws, tuple(lhs), cell)
@@ -422,6 +422,17 @@ def test_trivial_group_has_only_length_one_left_sides():
     rws = completed(parse_presentation("gens: a\nrel: a\n"))
     assert {len(lhs) for lhs, _ in rws.rules.values()} == {1}
     assert enumerate_elements(rws, 1) == [()]
+
+
+def test_a_cap_below_one_overflows_on_the_identity():
+    # the identity alone is one word, more than a cap of 0 allows
+    rws = completed(parse_presentation("gens: a\nrel: a\n"))
+    with pytest.raises(Overflow):
+        enumerate_elements(rws, 0)
+    assert group_order(rws, 0) is None
+    assert group_order(rws, 1) == 1
+    with pytest.raises(Overflow):
+        enumerate_elements(completed(Z6), 0)
 
 
 def test_enumeration_cap_is_exact_on_z24():
