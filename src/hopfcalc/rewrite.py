@@ -9,16 +9,16 @@ leaves a sound but possibly non-confluent system (normal form ε still
 proves a word trivial in the presented group, which is all the homology
 pipeline needs from partial systems).
 
-Internally words are bytes objects (one letter per byte), so
-interreduction and overlap detection are substring work done at C speed.
-Rule lookup goes through one index: a trie of the left sides read
-backwards, from the last letter to the first, whose nodes hold rule
-ids; ``rules`` is the only store of right sides. Reduction appends one
-letter at a time and walks the trie back from that letter; the first
-node on the walk that holds a rule id is the shortest left side that
-is a suffix of the output, and that is the rule applied. Shortest suffix
-first is the rule every normal form, step count and rule set depends
-on, and it holds whether or not the left sides form an antichain.
+Internally words are bytes objects, one letter per byte, which caps a
+presentation at 128 generators. Rule lookup goes through one index: a
+trie of the left sides read backwards, from the last letter to the
+first, whose nodes hold rule ids; ``rules`` is the only store of right
+sides. Reduction appends one letter at a time and walks the trie back
+from that letter; the first node on the walk that holds a rule id is
+the shortest left side that is a suffix of the output, and that is the
+rule applied. Shortest suffix first is the rule every normal form,
+step count and rule set depends on, and it holds whether or not the
+left sides form an antichain.
 
 Overlaps come from a second pair of indexes, from each proper prefix and
 each proper suffix of a live left side to the rules that have it. Two
@@ -27,6 +27,11 @@ length k is the second's prefix of length k, so a new left side finds
 its partners by looking up its own suffixes among the prefixes and its
 prefixes among the suffixes, without visiting the rules it cannot
 overlap.
+
+Interreduction finds the live rules that a new left side rewrites with
+one substring search of every live left and right side, joined into one
+buffer. Most inserts touch no rule, and for those the search is all the
+work; only when it matches are the rules tested one by one.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -40,6 +45,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from . import words
 from .presentation import Presentation, render_word
@@ -101,7 +107,13 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     return min(candidates, key=lambda lr: (len(lr[0]), lr[0], lr[1]))
 
 
+MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
+
 _RHS = -1  # key under which a trie node holds the id of its rule
+# joins the live sides for interreduction's one search; with 128
+# generators it is also letter 255, so a match may cross it: a false
+# positive, which the exact per-rule test then rejects
+_SEP = b"\xff"
 
 
 def _holders(index: dict, affix: bytes):
@@ -114,6 +126,11 @@ class RewriteSystem:
     """Mutable during completion, then treated as immutable."""
 
     def __init__(self, arity: int):
+        if arity > MAX_GENERATORS:
+            raise ValueError(
+                f"at most {MAX_GENERATORS} generators, since letters are "
+                f"stored one per byte; got {arity}"
+            )
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
         self._trie: dict = {}
@@ -148,6 +165,13 @@ class RewriteSystem:
         so the pairs get the same sequence numbers and the completion
         takes the same course.  Interreduction runs first, so retired
         rules are out of the indexes by then.
+
+        Interreduction touches the live rules with L inside a side.  One
+        search of all their sides, joined by ``_SEP`` before the new rule
+        is installed, tells whether there are any; only then is each
+        rule tested.  The touched rules are handled in id order: L in
+        the left side retires the rule and queues it as an equation, L
+        in the right side alone renormalizes that side.
         """
         node = self._trie
         for x in reversed(lhs):
@@ -159,22 +183,24 @@ class RewriteSystem:
             if old_rhs != rhs:
                 self._pending.append((rhs, old_rhs))
             return
+        # the rules with lhs in a side, in id order
+        if lhs in _SEP.join(chain.from_iterable(self.rules.values())):
+            touched = [i for i, (l, r) in self.rules.items() if lhs in l or lhs in r]
+        else:
+            touched = []
         rid = self._next_id
         node[_RHS] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
-        # interreduction: retire rules whose lhs the new rule rewrites,
-        # renormalize right sides in place
-        for other in list(self.rules):
-            if other == rid:
-                continue
+        for other in touched:
             l, r = self.rules[other]
             if lhs in l:
                 self._retire(other)
                 self._pending.append((l, r))
-            elif lhs in r:
+            else:
                 self.rules[other] = (l, self._nf(r))
-        # overlap queue, charged as a scan of the other live rules
+        # overlap queue, charged as a scan of the other live rules so
+        # that step budgets keep their meaning
         self.steps += 2 * (len(self.rules) - 1)
         n = len(lhs)
         hits = [(rid, 0, k) for k in range(1, n) if lhs.endswith(lhs[:k])]

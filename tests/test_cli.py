@@ -159,6 +159,16 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_more_than_128_generators_exit_2(tmp_path, capsys):
+    pres = tmp_path / "wide.pres"
+    gens = " ".join(f"g{i}" for i in range(129))
+    pres.write_text(f"gens: {gens}\nrel: g0*g128\n", encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--pres", str(pres), "--prime", "2")
+    assert code == 2
+    assert out == ""
+    assert "at most 128 generators" in err
+
+
 def test_zero_budget_limits_exit_2(capsys):
     for flag in ("--budget-steps", "--budget-rules", "--budget-len"):
         for value in ("0", "-1"):

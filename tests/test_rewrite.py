@@ -13,6 +13,7 @@ from hopfcalc.hopf import build_p_cover
 from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import (
     _RHS,
+    _SEP,
     Budget,
     Overflow,
     RewriteSystem,
@@ -208,14 +209,14 @@ def partial_cover():
     return rws
 
 
-def reference_reduce(rws, word):
-    """Rewrite at the leftmost end of a match, shortest left side first.
+def reference_reduce(rules, w):
+    """Rewrite bytes w at the leftmost end of a match, shortest left side first.
 
     Returns the normal form and the number of rewrites, scanning the
-    live rule table from scratch after every rewrite.
+    rule table ``rules`` (id -> (lhs, rhs)) from scratch after every
+    rewrite.
     """
-    table = sorted(rws.rules.values(), key=lambda lr: len(lr[0]))
-    w = bytes(words.free_reduce(word))
+    table = sorted(rules.values(), key=lambda lr: len(lr[0]))
     steps = 0
     while True:
         for end in range(1, len(w) + 1):
@@ -247,7 +248,7 @@ def test_partial_cover_index_holds_exactly_the_live_rules():
     for lhs, _ in rws.rules.values():
         cell = [10**6]
         nf = reduce_with_allowance(rws, tuple(lhs), cell)
-        assert (nf, 10**6 - cell[0]) == reference_reduce(rws, tuple(lhs))
+        assert (nf, 10**6 - cell[0]) == reference_reduce(rws.rules, bytes(words.free_reduce(lhs)))
 
 
 @given(st.data())
@@ -263,7 +264,7 @@ def test_rule_index_matches_a_reference_reducer(data):
     w = sum(data.draw(st.lists(piece, max_size=8)), ())
     cell = [10**6]
     nf = reduce_with_allowance(rws, w, cell)
-    assert (nf, 10**6 - cell[0]) == reference_reduce(rws, w)
+    assert (nf, 10**6 - cell[0]) == reference_reduce(rws.rules, bytes(words.free_reduce(w)))
 
 
 @pytest.mark.parametrize(
@@ -316,6 +317,33 @@ def test_overlap_index_holds_exactly_the_live_affixes():
     assert full.confluent and full_cover.confluent
 
 
+# a random 1-2 generator presentation, or its 2- or 3-cover, and a
+# completion budget
+small_completions = given(
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(min_value=0, max_value=2 * n - 1), max_size=7),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    ),
+    st.sampled_from([None, 2, 3]),
+    st.integers(min_value=20, max_value=1500),
+)
+
+
+def small_presentation(shape, p):
+    arity, relators = shape
+    pres = Presentation(
+        generators=("a", "b")[:arity],
+        relators=tuple(words.free_reduce(tuple(r)) for r in relators),
+    )
+    return pres if p is None else build_p_cover(pres, p)
+
+
 def all_pairs_overlaps(rws, rid):
     """The pushes of an all-pairs scan after rule rid is installed.
 
@@ -358,30 +386,123 @@ def overlap_pushes(pres, steps):
     return log
 
 
-@given(
-    st.integers(min_value=1, max_value=2).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.lists(st.integers(min_value=0, max_value=2 * n - 1), max_size=7),
-                min_size=1,
-                max_size=3,
-            ),
-        )
-    ),
-    st.sampled_from([None, 2, 3]),
-    st.integers(min_value=20, max_value=1500),
-)
+@small_completions
 def test_overlap_index_pushes_what_an_all_pairs_scan_pushes(shape, p, steps):
-    arity, relators = shape
-    pres = Presentation(
-        generators=("a", "b")[:arity],
-        relators=tuple(words.free_reduce(tuple(r)) for r in relators),
-    )
-    if p is not None:
-        pres = build_p_cover(pres, p)
+    pres = small_presentation(shape, p)
     for pushed, expected in overlap_pushes(pres, steps):
         assert pushed == expected
+
+
+class LoggedRules(dict):
+    """A rule store that logs every install and retirement, in order."""
+
+    def __init__(self, rules):
+        super().__init__(rules)
+        self.log = []
+
+    def __setitem__(self, rid, rule):
+        self.log.append(("set", rid, rule))
+        super().__setitem__(rid, rule)
+
+    def pop(self, rid):
+        self.log.append(("pop", rid))
+        return super().pop(rid)
+
+
+def reference_insert(rules, lhs, rhs, rid):
+    """(store log, pending entries, steps) of installing lhs -> rhs as rid.
+
+    Interreduction by a scan of every live rule in id order: lhs in a
+    left side retires the rule and queues it, else lhs in a right side
+    renormalizes that side under the rules live at that moment.  The
+    steps are the rewrites plus the overlap queue's charge.
+    """
+    for l, r in rules.values():
+        if l == lhs:
+            return [], ([(rhs, r)] if r != rhs else []), 0
+    live = {**rules, rid: (lhs, rhs)}
+    log, pending, steps = [("set", rid, (lhs, rhs))], [], 0
+    for other in sorted(rules):
+        l, r = live[other]
+        if lhs in l:
+            del live[other]
+            log.append(("pop", other))
+            pending.append((l, r))
+        elif lhs in r:
+            nf, applied = reference_reduce(live, r)
+            live[other] = (l, bytes(nf))
+            log.append(("set", other, live[other]))
+            steps += applied
+    return log, pending, steps + 2 * (len(live) - 1)
+
+
+def checked_insert(rws, lhs, rhs, insert=RewriteSystem._insert):
+    """Install lhs -> rhs, asserting it does what reference_insert says."""
+    if type(rws.rules) is not LoggedRules:
+        rws.rules = LoggedRules(rws.rules)
+    expected = reference_insert(dict(rws.rules), lhs, rhs, rws._next_id)
+    rws.rules.log.clear()
+    pending, steps = len(rws._pending), rws.steps
+    insert(rws, lhs, rhs)
+    assert (rws.rules.log, list(rws._pending)[pending:], rws.steps - steps) == expected
+
+
+def test_interreduction_renormalizes_a_right_side_that_alone_holds_the_lhs():
+    rws = RewriteSystem(2)
+    checked_insert(rws, b"\x02\x02\x02", b"\x00\x00")
+    rid = rws._next_id - 1
+    checked_insert(rws, b"\x00\x00", b"\x01")
+    assert rws.rules[rid] == (b"\x02\x02\x02", b"\x01")
+    assert not rws._pending
+
+
+def test_interreduction_retires_a_rule_with_the_lhs_on_both_sides():
+    rws = RewriteSystem(2)
+    checked_insert(rws, b"\x00\x00\x02\x02\x02", b"\x00\x00\x02")
+    rid = rws._next_id - 1
+    checked_insert(rws, b"\x00\x00", b"")
+    # retired as it stood, its right side not renormalized first
+    assert rid not in rws.rules
+    assert list(rws._pending) == [(b"\x00\x00\x02\x02\x02", b"\x00\x00\x02")]
+
+
+def test_interreduction_sees_through_a_separator_collision():
+    # with 128 generators the last letter is the separator's byte
+    rws = RewriteSystem(128)
+    checked_insert(rws, b"\x02\xff\x02", b"\xff")
+    # 0 1 | 255 crosses from rule 0's left side into the separator:
+    # the joined search matches, and no rule holds the left side
+    sides = _SEP.join(itertools.chain.from_iterable(rws.rules.values()))
+    assert b"\x01\xff" in sides
+    rules = dict(rws.rules)
+    checked_insert(rws, b"\x01\xff", b"\x03")
+    assert {rid: rule for rid, rule in rws.rules.items() if rid in rules} == rules
+    # a genuine match on letter 255 retires the rule that holds it
+    checked_insert(rws, b"\xff\x02", b"\x04")
+    assert (b"\x02\xff\x02", b"\xff") not in rws.rules.values()
+    assert list(rws._pending) == [(b"\x02\xff\x02", b"\xff")]
+
+
+def test_at_most_128_generators():
+    with pytest.raises(ValueError, match="at most 128 generators"):
+        RewriteSystem(129)
+    gens = " ".join(f"g{i}" for i in range(129))
+    with pytest.raises(ValueError, match="at most 128 generators"):
+        initial_rules(parse_presentation(f"gens: {gens}\nrel: g0*g128\n"))
+    assert len(RewriteSystem(128).rules) == 256
+
+
+@small_completions
+def test_interreduction_matches_an_all_rules_scan(shape, p, steps):
+    pres = small_presentation(shape, p)
+    original = RewriteSystem._insert
+
+    def insert(self, lhs, rhs):
+        checked_insert(self, lhs, rhs, original)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", insert)
+        knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
 
 
 def reference_elements(rws):
