@@ -185,10 +185,12 @@ def _scale_row(row: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
 def _test_word(
     spanning: Sequence[Word], ridx: int, factors: Sequence[tuple[int, int]]
 ) -> Word:
-    return words.concat(
-        words.invert(spanning[ridx]),
-        *(words.power(spanning[m], e) for m, e in factors),
-    )
+    # one free reduction of the whole product; its result is unique, so
+    # it equals the product of the freely reduced powers
+    parts = [words.invert(spanning[ridx])]
+    for m, e in factors:
+        parts += [spanning[m] if e >= 0 else words.invert(spanning[m])] * abs(e)
+    return words.concat(*parts)
 
 
 def _products(target, others, rows, p):

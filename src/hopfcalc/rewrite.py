@@ -12,13 +12,27 @@ pipeline needs from partial systems).
 Internally words are bytes objects, one letter per byte, which caps a
 presentation at 128 generators. Rule lookup goes through one index: a
 trie of the left sides read backwards, from the last letter to the
-first, whose nodes hold rule ids; ``rules`` is the only store of right
-sides. Reduction appends one letter at a time and walks the trie back
-from that letter; the first node on the walk that holds a rule id is
+first, whose leaves are rule ids: a left side's id sits in its parent
+node under the left side's first letter, in place of a child, so a
+walk costs one lookup and one type test per letter. ``rules`` is the
+only store of right sides. Reduction appends one letter at a time and
+walks the trie back from that letter; the first rule id on the walk is
 the shortest left side that is a suffix of the output, and that is the
 rule applied. Shortest suffix first is the rule every normal form,
-step count and rule set depends on, and it holds whether or not the
-left sides form an antichain.
+step count and rule set depends on.
+
+A leaf has no children, which is sound because the left sides form an
+antichain once each insert is done. Within an insert there is one
+exception: a new left side L that is a proper suffix of live left sides
+takes over the branch that holds them. Each of them contains L, so
+interreduction retires them all in the same insert, and none could fire
+meanwhile, since L is the shorter suffix; ``_retire`` finds such a cut
+branch and leaves it to L.
+
+Critical pairs skip part of the walk. A pair's equation starts with a
+right side on one side and a proper prefix of a left side on the other,
+both irreducible between inserts, so those letters go to the output
+unwalked (see ``_equation``).
 
 Overlaps come from a second pair of indexes, from each proper prefix and
 each proper suffix of a live left side to the rules that have it. Two
@@ -109,7 +123,6 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
 
 MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
 
-_RHS = -1  # key under which a trie node holds the id of its rule
 # joins the live sides for interreduction's one search; with 128
 # generators it is also letter 255, so a match may cross it: a false
 # positive, which the exact per-rule test then rejects
@@ -139,7 +152,8 @@ class RewriteSystem:
         self._prefixes: dict[bytes, int | list[int]] = {}
         self._suffixes: dict[bytes, int | list[int]] = {}
         self._next_id = 0
-        self._pending: deque[tuple[bytes, bytes]] = deque()
+        # _equation's arguments: (u, v), or (u, v, u_irreducible, v_irreducible)
+        self._pending: deque[tuple] = deque()
         self._pairs: list[tuple[int, int, int, int, int]] = []
         self._seq = 0
         self.steps = 0
@@ -172,24 +186,22 @@ class RewriteSystem:
         rule tested.  The touched rules are handled in id order: L in
         the left side retires the rule and queues it as an equation, L
         in the right side alone renormalizes that side.
+
+        L must contain no live left side; a normal form from
+        ``_equation`` or an inverse pair from ``__init__`` never does.
         """
-        node = self._trie
-        for x in reversed(lhs):
-            node = node.setdefault(x, {})
-        old = node.get(_RHS)
-        if old is not None:
-            # the left side is installed already
-            old_rhs = self.rules[old][1]
-            if old_rhs != rhs:
-                self._pending.append((rhs, old_rhs))
-            return
         # the rules with lhs in a side, in id order
         if lhs in _SEP.join(chain.from_iterable(self.rules.values())):
             touched = [i for i, (l, r) in self.rules.items() if lhs in l or lhs in r]
         else:
             touched = []
         rid = self._next_id
-        node[_RHS] = rid
+        node = self._trie
+        for x in lhs[:0:-1]:
+            node = node.setdefault(x, {})
+        # when lhs is a proper suffix of live left sides, this cuts off
+        # their branch; they are all touched and retired below
+        node[lhs[0]] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
         for other in touched:
@@ -234,13 +246,20 @@ class RewriteSystem:
         lhs, _ = self.rules.pop(rid)
         # path[i] is the node reached after the last i letters of lhs
         path = [self._trie]
-        for x in reversed(lhs):
-            path.append(path[-1][x])
-        del path[-1][_RHS]
-        for i in range(len(lhs), 0, -1):
-            if path[i]:
+        for x in lhs[:0:-1]:
+            node = path[-1][x]
+            if type(node) is int:
+                # a newer left side, a proper suffix of this one, took
+                # over the branch: the leaf went with it, and every node
+                # above it is still on the newer rule's path
                 break
-            del path[i - 1][lhs[-i]]
+            path.append(node)
+        else:
+            del path[-1][lhs[0]]
+            for i in range(len(path) - 1, 0, -1):
+                if path[i]:
+                    break
+                del path[i - 1][lhs[-i]]
         for index, affix in self._affixes(lhs):
             ids = index[affix]
             if type(ids) is int:
@@ -252,14 +271,20 @@ class RewriteSystem:
 
     # -- reduction --------------------------------------------------------
 
-    def _nf(self, word: bytes, allowance: list[int] | None = None) -> bytes:
+    def _nf(
+        self, word: bytes, allowance: list[int] | None = None, irreducible: int = 0
+    ) -> bytes:
         """Leftmost reduction, shortest applicable rule first.
 
         Letters move one at a time from ``pending`` to ``out``, which
         stays irreducible. After each append the trie is walked back from
-        the new last letter; the first node holding a rule id is the
-        shortest left side ending there, and it is rewritten at once, its
-        right side going back onto ``pending``.
+        the new last letter; the first rule id met is the shortest left
+        side ending there, and it is rewritten at once, its right side
+        going back onto ``pending``.
+
+        The first ``irreducible`` letters of word must contain no left
+        side; they go to ``out`` unwalked, which changes neither the
+        result nor the rewrites charged.
 
         ``allowance`` is a single-cell mutable step counter; when it runs
         dry StepLimitExceeded is raised. Without one, applications are
@@ -267,33 +292,42 @@ class RewriteSystem:
         """
         trie = self._trie
         rules = self.rules
-        out = bytearray()
-        pending = bytearray(word[::-1])
+        out = bytearray(word[:irreducible])
+        pending = bytearray(word[irreducible:][::-1])
         while pending:
             out.append(pending.pop())
             node = trie
-            i = len(out)
-            while i:
-                i -= 1
-                node = node.get(out[i])
-                if node is None:
-                    break
-                rid = node.get(_RHS)
-                if rid is not None:
-                    del out[i:]
-                    pending.extend(rules[rid][1][::-1])
-                    if allowance is None:
-                        self.steps += 1
-                    else:
-                        allowance[0] -= 1
-                        if allowance[0] < 0:
-                            raise StepLimitExceeded
+            for x in reversed(out):
+                node = node.get(x)
+                if type(node) is not dict:
+                    if node is not None:
+                        lhs, rhs = rules[node]
+                        del out[len(out) - len(lhs):]
+                        pending.extend(rhs[::-1])
+                        if allowance is None:
+                            self.steps += 1
+                        else:
+                            allowance[0] -= 1
+                            if allowance[0] < 0:
+                                raise StepLimitExceeded
                     break
         return bytes(out)
 
-    def _equation(self, u: bytes, v: bytes) -> tuple[bytes, bytes] | None:
-        """Reduce both sides: None when they meet, else the rule they give."""
-        un, vn = self._nf(u), self._nf(v)
+    def _equation(
+        self, u: bytes, v: bytes, u_irreducible: int = 0, v_irreducible: int = 0
+    ) -> tuple[bytes, bytes] | None:
+        """Reduce both sides: None when they meet, else the rule they give.
+
+        The counts are the lengths of the sides' prefixes known to be
+        irreducible (see ``_nf``); a pending entry is this call's
+        arguments.  A critical pair r_i·l_j[k:] = l_i[:-k]·r_j, queued
+        when its pair is popped, passes len(r_i) and len(l_i) - k: every
+        live right side is irreducible, since interreduction
+        renormalizes it or retires its rule, and so is every proper
+        substring of a live left side, since the left sides form an
+        antichain once each insert is done.
+        """
+        un, vn = self._nf(u, None, u_irreducible), self._nf(v, None, v_irreducible)
         if un == vn:
             return None
         return _shortlex_max_first(un, vn)
@@ -303,10 +337,8 @@ class RewriteSystem:
         node = self._trie
         for x in reversed(word):
             node = node.get(x)
-            if node is None:
-                return False
-            if _RHS in node:
-                return True
+            if type(node) is not dict:
+                return node is not None
         return False
 
 
@@ -339,15 +371,23 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
 
 
 def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> RewriteSystem:
-    """Complete within the budget; sets confluent iff every pair joined."""
+    """Complete within the budget; sets confluent iff every pair joined.
+
+    Equations queued by interreduction come first, then critical pairs
+    in heap order; each popped entry costs one step.  A pair's equation
+    is queued with the lengths of its two irreducible prefixes, r_i and
+    l_i[:-k] (see ``_equation``).  The queue is empty when a pair is
+    popped, so its equation is the next entry reduced, with no insert
+    in between to break that irreducibility.
+    """
     while True:
         if rws.steps >= budget.max_steps:
             rws.limited = True
             break
         if rws._pending:
-            u, v = rws._pending.popleft()
+            entry = rws._pending.popleft()
             rws.steps += 1
-            rule = rws._equation(u, v)
+            rule = rws._equation(*entry)
             if rule is None:
                 continue
             lhs, rhs = rule
@@ -367,7 +407,7 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
             lj, rj = rws.rules[j]
             if len(li) <= k or len(lj) <= k or li[-k:] != lj[:k]:
                 continue
-            rws._pending.append((ri + lj[k:], li[:-k] + rj))
+            rws._pending.append((ri + lj[k:], li[:-k] + rj, len(ri), len(li) - k))
         else:
             break
     rws.confluent = not rws.limited and not rws._pending and not rws._pairs

@@ -12,7 +12,6 @@ from hopfcalc import words
 from hopfcalc.hopf import build_p_cover
 from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import (
-    _RHS,
     _SEP,
     Budget,
     Overflow,
@@ -230,25 +229,38 @@ def reference_reduce(rules, w):
         steps += 1
 
 
-def test_partial_cover_index_holds_exactly_the_live_rules():
-    rws = partial_cover()
-    assert (len(rws.rules), rws._next_id) == (60, 77)
+def trie_leaves(rws):
+    """The (left side, rule id) pairs the trie holds; no node may be empty.
+
+    A leaf is a rule id, stored in its parent node under the left
+    side's first letter; every node below the root is a non-empty dict.
+    """
     found = set()
 
     def walk(node, suffix):
-        for key, child in node.items():
-            if key == _RHS:
-                found.add((suffix, child))  # left side, rule id
+        for letter, child in node.items():
+            if type(child) is int:
+                found.add((bytes([letter]) + suffix, child))
             else:
                 assert child, "emptied trie node left behind"
-                walk(child, bytes([key]) + suffix)
+                walk(child, bytes([letter]) + suffix)
 
     walk(rws._trie, b"")
-    assert found == {(lhs, rid) for rid, (lhs, _) in rws.rules.items()}
+    return found
+
+
+def assert_trie_holds_exactly_the_live_rules(rws):
+    assert trie_leaves(rws) == {(lhs, rid) for rid, (lhs, _) in rws.rules.items()}
     for lhs, _ in rws.rules.values():
         cell = [10**6]
         nf = reduce_with_allowance(rws, tuple(lhs), cell)
         assert (nf, 10**6 - cell[0]) == reference_reduce(rws.rules, bytes(words.free_reduce(lhs)))
+
+
+def test_partial_cover_index_holds_exactly_the_live_rules():
+    rws = partial_cover()
+    assert (len(rws.rules), rws._next_id) == (60, 77)
+    assert_trie_holds_exactly_the_live_rules(rws)
 
 
 @given(st.data())
@@ -415,11 +427,9 @@ def reference_insert(rules, lhs, rhs, rid):
     Interreduction by a scan of every live rule in id order: lhs in a
     left side retires the rule and queues it, else lhs in a right side
     renormalizes that side under the rules live at that moment.  The
-    steps are the rewrites plus the overlap queue's charge.
+    steps are the rewrites plus the overlap queue's charge.  lhs must
+    not be installed already.
     """
-    for l, r in rules.values():
-        if l == lhs:
-            return [], ([(rhs, r)] if r != rhs else []), 0
     live = {**rules, rid: (lhs, rhs)}
     log, pending, steps = [("set", rid, (lhs, rhs))], [], 0
     for other in sorted(rules):
@@ -498,11 +508,66 @@ def test_interreduction_matches_an_all_rules_scan(shape, p, steps):
     original = RewriteSystem._insert
 
     def insert(self, lhs, rhs):
+        # every left side comes from a normal form or from the distinct
+        # inverse pairs, so it is never installed already
+        assert lhs not in {l for l, _ in self.rules.values()}
         checked_insert(self, lhs, rhs, original)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RewriteSystem, "_insert", insert)
         knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
+
+
+@small_completions
+def test_pair_prefixes_are_irreducible_and_skipping_them_changes_nothing(shape, p, steps):
+    pres = small_presentation(shape, p)
+    original = RewriteSystem._equation
+
+    def equation(self, u, v, u_irreducible=0, v_irreducible=0):
+        for w, k in ((u, u_irreducible), (v, v_irreducible)):
+            assert reference_reduce(self.rules, w[:k]) == (tuple(w[:k]), 0)
+            skipping, scratch = [10**6], [10**6]
+            assert self._nf(w, skipping, k) == self._nf(w, scratch)
+            assert skipping == scratch
+        return original(self, u, v, u_irreducible, v_irreducible)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_equation", equation)
+        knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
+
+
+def test_a_left_side_that_ends_live_ones_cuts_their_branch():
+    rws = RewriteSystem(2)  # a = 0, A = 1, b = 2, B = 3
+    checked_insert(rws, b"\x00\x02\x02", b"\x01")  # abb -> A
+    checked_insert(rws, b"\x02\x02\x02", b"\x00\x00")  # bbb -> aa
+    checked_insert(rws, b"\x02\x02\x00", b"")  # bba -> ε
+    checked_insert(rws, b"\x00\x00\x00\x00", b"\x02\x02")  # aaaa -> bb
+    # the branch of the left sides ending in bb, next to Bb's leaf
+    assert type(rws._trie[2][2]) is dict and type(rws._trie[2][3]) is int
+    checked_insert(rws, b"\x02\x02", b"")  # bb -> ε ends abb and bbb
+    rid = rws._next_id - 1
+    assert rws._trie[2][2] == rid and type(rws._trie[2][3]) is int
+    # abb, bbb and bba retired; aaaa's right side renormalized
+    assert list(rws.rules.values())[4:] == [(b"\x00\x00\x00\x00", b""), (b"\x02\x02", b"")]
+    assert_trie_holds_exactly_the_live_rules(rws)
+
+
+def test_completed_psl2z_cover_trie_holds_exactly_the_live_rules():
+    cuts = []
+    original = RewriteSystem._insert
+
+    def insert(self, lhs, rhs):
+        if any(l.endswith(lhs) for l, _ in self.rules.values()):
+            cuts.append(lhs)
+        original(self, lhs, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", insert)
+        rws = knuth_bendix(
+            initial_rules(build_p_cover(corpus("PSL2_Z"), 2)), Budget(max_steps=20000)
+        )
+    assert cuts, "no left side ended a live one"
+    assert_trie_holds_exactly_the_live_rules(rws)
 
 
 def reference_elements(rws):
