@@ -42,10 +42,21 @@ its partners by looking up its own suffixes among the prefixes and its
 prefixes among the suffixes, without visiting the rules it cannot
 overlap.
 
+Critical pairs wait in one FIFO bucket per overlap length, and a pop
+takes the oldest pair of the shortest length queued. That is the order of
+a heap of (length, push number): within one length the push number
+decides, and a bucket holds its pairs in push order. Pushing and popping
+cost O(1), plus a pop's step up from the shortest length that may be
+non-empty, which only falls when a shorter pair is pushed.
+
 Interreduction finds the live rules that a new left side rewrites with
 one substring search of every live left and right side, joined into one
 buffer. Most inserts touch no rule, and for those the search is all the
-work; only when it matches are the rules tested one by one.
+work; only when it matches are the rules tested one by one. The buffer
+is kept between inserts: one that touches no rule appends its two sides,
+one that retires a rule or renormalizes a right side drops it, and the
+next insert joins it afresh, so it always equals the join of the live
+sides in id order.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -55,7 +66,6 @@ public API speaks letter tuples.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -107,6 +117,10 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
         return None
     n = len(core)
     cut = (n + 1) // 2
+    # u is never the shorter half, so it is the left side when n is odd
+    # and the larger half when n is even; every left side is cut letters
+    # long, so the smallest (lhs, rhs) is the shortlex-smallest
+    odd = n % 2
     inv = words.invert(core)
     candidates = []
     for base, base_inv in ((core, inv), (inv, core)):
@@ -115,10 +129,9 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
             # rotation k of base is twice[k:k + n]; its inverse is
             # rotation n - k of the inverse
             m = (n - k) % n
-            candidates.append(
-                _shortlex_max_first(twice[k:k + cut], twice_inv[m:m + n - cut])
-            )
-    return min(candidates, key=lambda lr: (len(lr[0]), lr[0], lr[1]))
+            u, v = twice[k:k + cut], twice_inv[m:m + n - cut]
+            candidates.append((u, v) if odd or u > v else (v, u))
+    return min(candidates)
 
 
 MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
@@ -154,8 +167,15 @@ class RewriteSystem:
         self._next_id = 0
         # _equation's arguments: (u, v), or (u, v, u_irreducible, v_irreducible)
         self._pending: deque[tuple] = deque()
-        self._pairs: list[tuple[int, int, int, int, int]] = []
-        self._seq = 0
+        # _pairs[length]: the critical pairs (i, j, k) of that overlap
+        # length, |l_i| + |l_j| - k, in push order; every bucket below
+        # _shortest is empty, and _queued counts them all
+        self._pairs: list[deque[tuple[int, int, int]]] = []
+        self._shortest = 0
+        self._queued = 0
+        # _SEP join of the live sides in id order, or None until the next
+        # insert joins it afresh
+        self._sides: bytearray | None = None
         self.steps = 0
         self.limited = False
         self.confluent = False
@@ -176,22 +196,28 @@ class RewriteSystem:
         names a pair (i, L, k) the same way.  They are queued sorted by
         (other rule's id, L first or second, k), then L's overlaps with
         itself, which is the order of a scan of every live rule by id,
-        so the pairs get the same sequence numbers and the completion
-        takes the same course.  Interreduction runs first, so retired
-        rules are out of the indexes by then.
+        so each length's bucket receives them in the order that scan
+        gives and the completion takes the same course.  Interreduction
+        runs first, so retired rules are out of the indexes by then.
 
         Interreduction touches the live rules with L inside a side.  One
         search of all their sides, joined by ``_SEP`` before the new rule
         is installed, tells whether there are any; only then is each
         rule tested.  The touched rules are handled in id order: L in
         the left side retires the rule and queues it as an equation, L
-        in the right side alone renormalizes that side.
+        in the right side alone renormalizes that side.  The joined
+        sides are kept: with no rule touched, L and its right side are
+        appended; otherwise the buffer is dropped and the next insert
+        joins it again.
 
         L must contain no live left side; a normal form from
         ``_equation`` or an inverse pair from ``__init__`` never does.
         """
+        sides = self._sides
+        if sides is None:
+            sides = bytearray(_SEP.join(chain.from_iterable(self.rules.values())))
         # the rules with lhs in a side, in id order
-        if lhs in _SEP.join(chain.from_iterable(self.rules.values())):
+        if lhs in sides:
             touched = [i for i, (l, r) in self.rules.items() if lhs in l or lhs in r]
         else:
             touched = []
@@ -204,6 +230,15 @@ class RewriteSystem:
         node[lhs[0]] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
+        if touched:
+            self._sides = None
+        else:
+            if sides:
+                sides += _SEP
+            sides += lhs
+            sides += _SEP
+            sides += rhs
+            self._sides = sides
         for other in touched:
             l, r = self.rules[other]
             if lhs in l:
@@ -222,11 +257,16 @@ class RewriteSystem:
             for other in _holders(self._suffixes, lhs[:k]):
                 hits.append((other, 1, k))
         hits.sort()
+        pairs, rules, shortest = self._pairs, self.rules, self._shortest
         for other, backwards, k in hits:
-            i, j = (other, rid) if backwards else (rid, other)
-            length = n + len(self.rules[other][0]) - k
-            heapq.heappush(self._pairs, (length, self._seq, i, j, k))
-            self._seq += 1
+            length = n + len(rules[other][0]) - k
+            while len(pairs) <= length:
+                pairs.append(deque())
+            pairs[length].append((other, rid, k) if backwards else (rid, other, k))
+            if length < shortest:
+                shortest = length
+        self._shortest = shortest
+        self._queued += len(hits)
         for index, affix in self._affixes(lhs):
             ids = index.get(affix)
             if ids is None:
@@ -235,6 +275,15 @@ class RewriteSystem:
                 index[affix] = [ids, rid]
             else:
                 ids.append(rid)
+
+    def _pop_pair(self) -> tuple[int, int, int]:
+        """Take the oldest queued pair of the shortest overlap length."""
+        pairs, s = self._pairs, self._shortest
+        while not pairs[s]:
+            s += 1
+        self._shortest = s
+        self._queued -= 1
+        return pairs[s].popleft()
 
     def _affixes(self, lhs: bytes):
         """(index, affix) for each proper prefix and proper suffix of lhs."""
@@ -373,12 +422,16 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
 def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> RewriteSystem:
     """Complete within the budget; sets confluent iff every pair joined.
 
-    Equations queued by interreduction come first, then critical pairs
-    in heap order; each popped entry costs one step.  A pair's equation
-    is queued with the lengths of its two irreducible prefixes, r_i and
-    l_i[:-k] (see ``_equation``).  The queue is empty when a pair is
-    popped, so its equation is the next entry reduced, with no insert
-    in between to break that irreducibility.
+    Equations queued by interreduction come first, then critical pairs,
+    shortest overlap first and oldest first within a length (see
+    ``_pop_pair``).  Each popped entry costs one step, and reducing its
+    equation one more.  A pair's equation is reduced in the same pass
+    that pops it, with the lengths of its two irreducible prefixes, r_i
+    and l_i[:-k] (see ``_equation``); no insert comes in between to
+    break that irreducibility.  When the budget runs out between the
+    two steps, the equation is left on the pending queue.  A pair of
+    live rules still overlaps, since a rule id's left side never
+    changes.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -386,31 +439,33 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
             break
         if rws._pending:
             entry = rws._pending.popleft()
-            rws.steps += 1
-            rule = rws._equation(*entry)
-            if rule is None:
-                continue
-            lhs, rhs = rule
-            if len(lhs) > budget.max_rule_length:
-                rws.limited = True
-                continue
-            if len(rws.rules) >= budget.max_rules:
-                rws.limited = True
-                break
-            rws._insert(lhs, rhs)
-        elif rws._pairs:
-            _, _, i, j, k = heapq.heappop(rws._pairs)
+        elif rws._queued:
+            i, j, k = rws._pop_pair()
             rws.steps += 1
             if i not in rws.rules or j not in rws.rules:
                 continue
             li, ri = rws.rules[i]
             lj, rj = rws.rules[j]
-            if len(li) <= k or len(lj) <= k or li[-k:] != lj[:k]:
-                continue
-            rws._pending.append((ri + lj[k:], li[:-k] + rj, len(ri), len(li) - k))
+            entry = (ri + lj[k:], li[:-k] + rj, len(ri), len(li) - k)
+            if rws.steps >= budget.max_steps:
+                rws.limited = True
+                rws._pending.append(entry)
+                break
         else:
             break
-    rws.confluent = not rws.limited and not rws._pending and not rws._pairs
+        rws.steps += 1
+        rule = rws._equation(*entry)
+        if rule is None:
+            continue
+        lhs, rhs = rule
+        if len(lhs) > budget.max_rule_length:
+            rws.limited = True
+            continue
+        if len(rws.rules) >= budget.max_rules:
+            rws.limited = True
+            break
+        rws._insert(lhs, rhs)
+    rws.confluent = not rws.limited and not rws._pending and not rws._queued
     return rws
 
 

@@ -1,6 +1,7 @@
 """Knuth-Bendix completion and normal forms."""
 
 import hashlib
+import heapq
 import itertools
 from functools import lru_cache
 
@@ -374,23 +375,38 @@ def all_pairs_overlaps(rws, rid):
     return out + overlaps(rid, rid)
 
 
+def bucket_tails(rws, sizes):
+    """{length: the entries appended to that bucket since ``sizes``, the bucket sizes, were read}."""
+    tails = {}
+    for length, bucket in enumerate(rws._pairs):
+        start = sizes[length] if length < len(sizes) else 0
+        if len(bucket) > start:
+            tails[length] = list(bucket)[start:]
+    return tails
+
+
 def overlap_pushes(pres, steps):
     """(pushed, reference) for each insert of a budget-limited completion.
 
-    The entries an insert pushes are read back from the pair heap by
-    their sequence numbers, which no pop removes within one insert.
+    The entries an insert pushes are the tails it appends to the pair
+    buckets, which no pop shortens within one insert.  Both sides map
+    each overlap length to its entries in push order, the reference
+    computing the length as |l_i| + |l_j| - k, so a pair in the wrong
+    bucket fails the comparison.
     """
     log = []
     original = RewriteSystem._insert
 
     def insert(self, lhs, rhs):
-        seq, rid = self._seq, self._next_id
+        sizes, rid = [len(bucket) for bucket in self._pairs], self._next_id
         original(self, lhs, rhs)
-        pushed = sorted((e for e in self._pairs if e[1] >= seq), key=lambda e: e[1])
-        for length, _, i, j, k in pushed:
-            assert length == len(self.rules[i][0]) + len(self.rules[j][0]) - k
-        expected = all_pairs_overlaps(self, rid) if self._next_id > rid else []
-        log.append(([e[2:] for e in pushed], expected))
+        pushed = bucket_tails(self, sizes)
+        expected = {}
+        if self._next_id > rid:
+            for i, j, k in all_pairs_overlaps(self, rid):
+                length = len(self.rules[i][0]) + len(self.rules[j][0]) - k
+                expected.setdefault(length, []).append((i, j, k))
+        log.append((pushed, expected))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RewriteSystem, "_insert", insert)
@@ -403,6 +419,60 @@ def test_overlap_index_pushes_what_an_all_pairs_scan_pushes(shape, p, steps):
     pres = small_presentation(shape, p)
     for pushed, expected in overlap_pushes(pres, steps):
         assert pushed == expected
+
+
+@small_completions
+def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, steps):
+    pres = small_presentation(shape, p)
+    events = []
+    insert, pop = RewriteSystem._insert, RewriteSystem._pop_pair
+
+    def logged_insert(self, lhs, rhs):
+        sizes = [len(bucket) for bucket in self._pairs]
+        insert(self, lhs, rhs)
+        # across lengths the push order cannot change a heap's pops
+        for length, tail in sorted(bucket_tails(self, sizes).items()):
+            events.extend(("push", length, entry) for entry in tail)
+
+    def logged_pop(self):
+        entry = pop(self)
+        events.append(("pop", None, entry))
+        return entry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", logged_insert)
+        mp.setattr(RewriteSystem, "_pop_pair", logged_pop)
+        rws = knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
+    heap, pushes = [], 0
+    for kind, length, entry in events:
+        if kind == "push":
+            heapq.heappush(heap, (length, pushes, *entry))
+            pushes += 1
+        else:
+            assert heapq.heappop(heap)[2:] == entry
+    assert rws._queued == len(heap)
+    remaining = [(length, *entry) for length, bucket in enumerate(rws._pairs) for entry in bucket]
+    assert remaining == [(length, *entry) for length, _, *entry in sorted(heap)]
+
+
+@small_completions
+def test_interreduction_buffer_is_dropped_or_the_join_of_the_live_sides(shape, p, steps):
+    pres = small_presentation(shape, p)
+    original = RewriteSystem._insert
+
+    def insert(self, lhs, rhs):
+        before = dict(self.rules)
+        original(self, lhs, rhs)
+        after = {rid: rule for rid, rule in self.rules.items() if rid in before}
+        if self._sides is None:
+            assert after != before, "the buffer was dropped though no rule changed"
+        else:
+            assert after == before
+            assert self._sides == _SEP.join(itertools.chain.from_iterable(self.rules.values()))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", insert)
+        knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
 
 
 class LoggedRules(dict):
