@@ -10,16 +10,17 @@ proves a word trivial in the presented group, which is all the homology
 pipeline needs from partial systems).
 
 Internally words are bytes objects, one letter per byte, which caps a
-presentation at 128 generators. Rule lookup goes through one index: a
-trie of the left sides read backwards, from the last letter to the
-first, whose leaves are rule ids: a left side's id sits in its parent
-node under the left side's first letter, in place of a child, so a
-walk costs one lookup and one type test per letter. ``rules`` is the
-only store of right sides. Reduction appends one letter at a time and
-walks the trie back from that letter; the first rule id on the walk is
-the shortest left side that is a suffix of the output, and that is the
-rule applied. Shortest suffix first is the rule every normal form,
-step count and rule set depends on.
+presentation at 128 generators. During completion, rule lookup goes
+through one index: a trie of the left sides read backwards, from the
+last letter to the first, whose leaves are rule ids: a left side's id
+sits in its parent node under the left side's first letter, in place of
+a child, so a walk costs one lookup and one type test per letter.
+``rules`` is the only store of right sides that an insert updates (the
+prefix automaton below copies them, and an insert drops it). Reduction
+appends one letter at a time and walks the trie back from that letter;
+the first rule id on the walk is the shortest left side that is a suffix
+of the output, and that is the rule applied. Shortest suffix first is
+the rule every normal form, step count and rule set depends on.
 
 A leaf has no children, which is sound because the left sides form an
 antichain once each insert is done. Within an insert there is one
@@ -57,6 +58,29 @@ is kept between inserts: one that touches no rule appends its two sides,
 one that retires a rule or renormalizes a right side drops it, and the
 next insert joins it afresh, so it always equals the join of the live
 sides in id order.
+
+Two reducers serve two kinds of traffic. Completion changes the rules
+every few reductions, so its ``_nf`` walks the trie, which an insert
+keeps current at the cost of one left side. A finished system, the one
+``knuth_bendix`` returns, is read thousands of times (the spanning
+search, ``normal_form``, element counting), so ``reduce_with_allowance``
+goes through a prefix automaton built from it on first use
+(``_PrefixAutomaton``): its states are the prefixes of the live left
+sides, the state of a word being its longest suffix that is such a
+prefix, and each transition is computed once and then cached, so an
+appended letter costs one lookup, not a walk. ``_insert``, the only
+place the live left sides change, drops the automaton; kept up to date
+inside completion, it would be rebuilt every few reductions.
+
+Both reducers apply the same rewrites. Once each insert is done the left
+sides form an antichain, and the output is irreducible. If a left side L
+is a suffix of output·x, the longest suffix of output·x that is a
+left-side prefix is L itself: a longer one would be a prefix of some
+left side with L as a proper substring. And no other left side is a
+suffix, since one of the two would end the other. So the automaton
+reaches a rule exactly when the trie walk meets one, and it is the same
+rule: every normal form, every charge to an allowance and the point
+where StepLimitExceeded is raised are those of the trie walk.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -122,10 +146,13 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     # long, so the smallest (lhs, rhs) is the shortlex-smallest
     odd = n % 2
     inv = words.invert(core)
+    # core is root^e, so rotation k + |root| is rotation k, of the
+    # inverse too: one period of rotations gives every candidate
+    period = len(words.proper_power_root(core)[0])
     candidates = []
     for base, base_inv in ((core, inv), (inv, core)):
         twice, twice_inv = base * 2, base_inv * 2
-        for k in range(n):
+        for k in range(period):
             # rotation k of base is twice[k:k + n]; its inverse is
             # rotation n - k of the inverse
             m = (n - k) % n
@@ -176,6 +203,9 @@ class RewriteSystem:
         # _SEP join of the live sides in id order, or None until the next
         # insert joins it afresh
         self._sides: bytearray | None = None
+        # reducer of the finished system, built on first use; an insert
+        # drops it
+        self._automaton: _PrefixAutomaton | None = None
         self.steps = 0
         self.limited = False
         self.confluent = False
@@ -212,7 +242,9 @@ class RewriteSystem:
 
         L must contain no live left side; a normal form from
         ``_equation`` or an inverse pair from ``__init__`` never does.
+        The prefix automaton is dropped, since the left sides change.
         """
+        self._automaton = None
         sides = self._sides
         if sides is None:
             sides = bytearray(_SEP.join(chain.from_iterable(self.rules.values())))
@@ -381,14 +413,93 @@ class RewriteSystem:
             return None
         return _shortlex_max_first(un, vn)
 
-    def _ends_with_lhs(self, word: bytes) -> bool:
-        """Whether some left side is a suffix of word: _nf's walk."""
-        node = self._trie
-        for x in reversed(word):
-            node = node.get(x)
-            if type(node) is not dict:
-                return node is not None
-        return False
+    def _reducer(self) -> _PrefixAutomaton:
+        """The prefix automaton of the live rules, built on first use."""
+        if self._automaton is None:
+            self._automaton = _PrefixAutomaton(self)
+        return self._automaton
+
+
+class _PrefixAutomaton:
+    """Leftmost reduction in a fixed rule set, one cached transition per letter.
+
+    A state is a prefix of a live left side, the empty one included,
+    numbered in the order first reached; the state of a word is its
+    longest suffix that is such a prefix.  The transition from state s
+    on letter x drops letters from the front of s·x until what is left
+    is a proper prefix of a left side (the completion's prefix index
+    holds them) or a whole left side, and is cached under s << 8 | x.
+    A whole left side is a hit: (letters of it already in the output,
+    its right side reversed), in place of a next state.  The system's
+    rules must not change while the automaton is in use; ``_insert``
+    drops it.
+    """
+
+    def __init__(self, rws: RewriteSystem):
+        self._prefixes = rws._prefixes
+        self._hits = {lhs: (len(lhs) - 1, rhs[::-1]) for lhs, rhs in rws.rules.values()}
+        self._words = [b""]
+        self._ids = {b"": 0}
+        self._delta: dict[int, int | tuple[int, bytes]] = {}
+
+    def step(self, state: int, x: int) -> int | tuple[int, bytes]:
+        """The next state, or the hit, from ``state`` on letter ``x``."""
+        t = self._delta.get(state << 8 | x)
+        if t is None:
+            t = self._transition(state, x)
+        return t
+
+    def _transition(self, state: int, x: int) -> int | tuple[int, bytes]:
+        s = self._words[state] + bytes((x,))
+        while s:
+            t = self._hits.get(s)
+            if t is not None:
+                break
+            if s in self._prefixes:
+                t = self._ids.get(s)
+                if t is None:
+                    t = self._ids[s] = len(self._words)
+                    self._words.append(s)
+                break
+            s = s[1:]
+        else:
+            t = 0
+        self._delta[state << 8 | x] = t
+        return t
+
+    def reduce(self, word: bytes, allowance: list[int]) -> bytes:
+        """The normal form of word, one rewrite charged to allowance each.
+
+        ``states[i]`` is the state of the output's first i letters.  A
+        hit drops the left side's letters already in the output, and
+        their states, and puts the right side back onto ``pending``.
+        """
+        delta = self._delta
+        out = bytearray()
+        states = [0]
+        state = 0
+        pending = bytearray(word[::-1])
+        while pending:
+            x = pending.pop()
+            t = delta.get(state << 8 | x)
+            if t is None:
+                t = self._transition(state, x)
+            if type(t) is int:
+                out.append(x)
+                states.append(t)
+                state = t
+            else:
+                # cut is 0 for a left side of one letter, so the slices
+                # start at len(), not at -cut
+                cut, back = t
+                del out[len(out) - cut:]
+                del states[len(states) - cut:]
+                state = states[-1]
+                pending += back
+                allowance[0] -= 1
+                if allowance[0] < 0:
+                    raise StepLimitExceeded
+        return bytes(out)
 
 
 def initial_rules(pres: Presentation) -> RewriteSystem:
@@ -432,6 +543,12 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     two steps, the equation is left on the pending queue.  A pair of
     live rules still overlaps, since a rule id's left side never
     changes.
+
+    The returned system is finished: the unpopped critical pairs and the
+    interreduction buffer are released once ``confluent`` is set, so a
+    later call cannot take up where this one stopped.  Such a call on a
+    limited system still leaves ``confluent`` False, since ``limited``
+    stays set.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -466,6 +583,7 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
             break
         rws._insert(lhs, rhs)
     rws.confluent = not rws.limited and not rws._pending and not rws._queued
+    rws._pairs, rws._shortest, rws._queued, rws._sides = [], 0, 0, None
     return rws
 
 
@@ -480,9 +598,13 @@ def reduce_with_allowance(rws: RewriteSystem, word: Word, allowance: list[int]) 
 
     The single-cell ``allowance`` list is decremented once per rewrite
     application and StepLimitExceeded is raised when it runs dry, so one
-    budget can span a whole batch of reduction calls.
+    budget can span a whole batch of reduction calls.  The word is
+    reduced through the system's prefix automaton, built on the first
+    call and kept until the rules change; it applies the rewrites the
+    completion's trie walk would (see the module docstring), so the
+    result and the charge are the same.
     """
-    return tuple(rws._nf(bytes(words.free_reduce(word)), allowance=allowance))
+    return tuple(rws._reducer().reduce(bytes(words.free_reduce(word)), allowance))
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
@@ -498,6 +620,10 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
     language, and the group, is infinite.  A finite language never
     shows such a repeat, so a finite group is enumerated in full or
     overflows at the cap, as without the test.
+
+    Each word of a layer keeps its state in the prefix automaton, so
+    w·x is irreducible iff the transition from w's state on x is not a
+    hit, one cached lookup per candidate.
     """
     if not rws.confluent:
         raise ValueError("element enumeration requires a confluent system")
@@ -505,21 +631,24 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
         raise Overflow(f"more than {cap} irreducible words")
     alphabet = range(2 * rws.arity)
     c = max((len(lhs) for lhs, _ in rws.rules.values()), default=1) - 1
+    step = rws._reducer().step
     found: list[bytes] = [b""]
-    layer: list[bytes] = [b""]
+    # each irreducible word of the current length, with its automaton state
+    layer: list[tuple[bytes, int]] = [(b"", 0)]
     while layer:
-        nxt: list[bytes] = []
-        for w in layer:
+        nxt: list[tuple[bytes, int]] = []
+        for w, state in layer:
             for x in alphabet:
-                cand = w + bytes([x])
-                if not rws._ends_with_lhs(cand):
+                t = step(state, x)
+                if type(t) is int:
+                    cand = w + bytes([x])
                     m = len(cand)
                     if m > c and cand.find(cand[m - c:], 0, m - 1) >= 0:
                         raise Overflow("infinitely many irreducible words")
-                    nxt.append(cand)
+                    nxt.append((cand, t))
                     if len(found) + len(nxt) > cap:
                         raise Overflow(f"more than {cap} irreducible words")
-        found.extend(nxt)
+        found.extend(w for w, _ in nxt)
         layer = nxt
     return [tuple(w) for w in found]
 

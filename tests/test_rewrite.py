@@ -77,9 +77,13 @@ def rotation_orient(relator):
     return best
 
 
-@given(st.lists(st.integers(min_value=0, max_value=5), max_size=24))
-def test_orient_relator_matches_the_rotation_definition(w):
-    assert orient_relator(tuple(w)) == rotation_orient(tuple(w))
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), max_size=24),
+    st.integers(min_value=1, max_value=4),
+)
+def test_orient_relator_matches_the_rotation_definition(w, k):
+    # w^k: the cover's p-th power relators repeat every |root| letters
+    assert orient_relator(tuple(w) * k) == rotation_orient(tuple(w) * k)
 
 
 def test_initial_rules_free_group_is_confluent():
@@ -250,12 +254,20 @@ def trie_leaves(rws):
     return found
 
 
+def assert_both_reducers_match_the_reference(rws, w):
+    """The trie walk (``_nf``) and the prefix automaton give the reference
+    normal form of the freely reduced w, charging its rewrite count."""
+    w = bytes(words.free_reduce(w))
+    expected = reference_reduce(rws.rules, w)
+    trie, automaton = [10**6], [10**6]
+    assert (tuple(rws._nf(w, trie)), 10**6 - trie[0]) == expected
+    assert (reduce_with_allowance(rws, tuple(w), automaton), 10**6 - automaton[0]) == expected
+
+
 def assert_trie_holds_exactly_the_live_rules(rws):
     assert trie_leaves(rws) == {(lhs, rid) for rid, (lhs, _) in rws.rules.items()}
     for lhs, _ in rws.rules.values():
-        cell = [10**6]
-        nf = reduce_with_allowance(rws, tuple(lhs), cell)
-        assert (nf, 10**6 - cell[0]) == reference_reduce(rws.rules, bytes(words.free_reduce(lhs)))
+        assert_both_reducers_match_the_reference(rws, tuple(lhs))
 
 
 def test_partial_cover_index_holds_exactly_the_live_rules():
@@ -275,9 +287,7 @@ def test_rule_index_matches_a_reference_reducer(data):
         st.sampled_from(lefts).map(tuple),
     )
     w = sum(data.draw(st.lists(piece, max_size=8)), ())
-    cell = [10**6]
-    nf = reduce_with_allowance(rws, w, cell)
-    assert (nf, 10**6 - cell[0]) == reference_reduce(rws.rules, bytes(words.free_reduce(w)))
+    assert_both_reducers_match_the_reference(rws, w)
 
 
 @pytest.mark.parametrize(
@@ -332,7 +342,7 @@ def test_overlap_index_holds_exactly_the_live_affixes():
 
 # a random 1-2 generator presentation, or its 2- or 3-cover, and a
 # completion budget
-small_completions = given(
+small_completion_args = (
     st.integers(min_value=1, max_value=2).flatmap(
         lambda n: st.tuples(
             st.just(n),
@@ -346,6 +356,7 @@ small_completions = given(
     st.sampled_from([None, 2, 3]),
     st.integers(min_value=20, max_value=1500),
 )
+small_completions = given(*small_completion_args)
 
 
 def small_presentation(shape, p):
@@ -355,6 +366,48 @@ def small_presentation(shape, p):
         relators=tuple(words.free_reduce(tuple(r)) for r in relators),
     )
     return pres if p is None else build_p_cover(pres, p)
+
+
+@given(*small_completion_args, st.data())
+def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
+    # partial and complete systems; words glued from letters and whole
+    # left sides, not freely reduced
+    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+    lefts = sorted(lhs for lhs, _ in rws.rules.values())
+    piece = st.one_of(
+        st.integers(min_value=0, max_value=2 * rws.arity - 1).map(lambda x: bytes([x])),
+        st.sampled_from(lefts),
+    )
+    w = b"".join(data.draw(st.lists(piece, max_size=6)))
+    nf, applied = reference_reduce(rws.rules, w)
+    automaton = rws._reducer()
+    cell = [applied]
+    assert (tuple(automaton.reduce(w, cell)), cell) == (nf, [0])
+    for allowance in range(applied):
+        with pytest.raises(StepLimitExceeded):
+            automaton.reduce(w, [allowance])
+
+
+def test_an_insert_drops_the_prefix_automaton():
+    rws = RewriteSystem(1)  # a = 0, A = 1
+    a7 = (0,) * 7
+    assert reduce_with_allowance(rws, a7, [0]) == a7
+    assert rws._automaton is not None
+    rws._insert(b"\x00\x00\x00", b"\x01")  # aaa -> A
+    assert rws._automaton is None
+    assert_both_reducers_match_the_reference(rws, a7)
+    assert reduce_with_allowance(rws, a7, [10]) == (1,)
+
+
+def test_left_sides_of_one_letter_reduce_like_the_reference():
+    # a -> ε and A -> ε beside longer left sides: a hit keeps no letter
+    # of the output
+    rws = completed(parse_presentation("gens: a b\nrel: a\nrel: b^3\n"))
+    assert {len(lhs) for lhs, _ in rws.rules.values()} == {1, 2}
+    for n in range(6):
+        for w in itertools.product(range(4), repeat=n):
+            assert_both_reducers_match_the_reference(rws, w)
+    assert group_order(rws, 10) == 3
 
 
 def all_pairs_overlaps(rws, rid):
@@ -425,6 +478,10 @@ def test_overlap_index_pushes_what_an_all_pairs_scan_pushes(shape, p, steps):
 def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, steps):
     pres = small_presentation(shape, p)
     events = []
+    # (buckets, count) as the last insert or pop left them, which is how
+    # knuth_bendix finds them when it releases them: the release rebinds
+    # _pairs, so the list held here keeps the buckets
+    released = []
     insert, pop = RewriteSystem._insert, RewriteSystem._pop_pair
 
     def logged_insert(self, lhs, rhs):
@@ -433,10 +490,12 @@ def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, st
         # across lengths the push order cannot change a heap's pops
         for length, tail in sorted(bucket_tails(self, sizes).items()):
             events.extend(("push", length, entry) for entry in tail)
+        released[:] = [self._pairs, self._queued]
 
     def logged_pop(self):
         entry = pop(self)
         events.append(("pop", None, entry))
+        released[:] = [self._pairs, self._queued]
         return entry
 
     with pytest.MonkeyPatch.context() as mp:
@@ -450,9 +509,21 @@ def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, st
             pushes += 1
         else:
             assert heapq.heappop(heap)[2:] == entry
-    assert rws._queued == len(heap)
-    remaining = [(length, *entry) for length, bucket in enumerate(rws._pairs) for entry in bucket]
+    assert (rws._pairs, rws._queued, rws._sides) == ([], 0, None)
+    pairs, queued = released
+    assert queued == len(heap)
+    remaining = [(length, *entry) for length, bucket in enumerate(pairs) for entry in bucket]
     assert remaining == [(length, *entry) for length, _, *entry in sorted(heap)]
+
+
+def test_a_second_completion_of_a_limited_system_is_not_confluent():
+    rws = knuth_bendix(initial_rules(S3), Budget(max_steps=5))
+    assert rws.limited and not rws.confluent
+    # the first call released its unpopped pairs, so the second one
+    # drains what is left without meeting them
+    knuth_bendix(rws, Budget())
+    assert not rws._pending and not rws._queued
+    assert not rws.confluent
 
 
 @small_completions
