@@ -182,15 +182,35 @@ def _scale_row(row: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
     return tuple((e * x) % p for x in row)
 
 
+def _byte_pieces(spanning: Sequence[Word]) -> tuple[list[bytes], list[bytes]]:
+    """Each spanning member, and its inverse, as bytes: one letter a byte."""
+    return [bytes(w) for w in spanning], [bytes(words.invert(w)) for w in spanning]
+
+
 def _test_word(
-    spanning: Sequence[Word], ridx: int, factors: Sequence[tuple[int, int]]
-) -> Word:
-    # one free reduction of the whole product; its result is unique, so
-    # it equals the product of the freely reduced powers
-    parts = [words.invert(spanning[ridx])]
+    members: Sequence[bytes],
+    inverses: Sequence[bytes],
+    ridx: int,
+    factors: Sequence[tuple[int, int]],
+) -> bytes:
+    """inverse(removed member) times the factor product, freely reduced.
+
+    The members are freely reduced, so each piece cancels against the
+    word built so far only at the seam: the word's tail against the
+    piece's head.  A free reduction's result is unique, so the word
+    equals ``words.concat`` of the same pieces.
+    """
+    out = bytearray(inverses[ridx])
     for m, e in factors:
-        parts += [spanning[m] if e >= 0 else words.invert(spanning[m])] * abs(e)
-    return words.concat(*parts)
+        piece = members[m] if e >= 0 else inverses[m]
+        for _ in range(abs(e)):
+            k = 0
+            n = min(len(out), len(piece))
+            while k < n and out[-1 - k] ^ 1 == piece[k]:
+                k += 1
+            del out[len(out) - k:]
+            out += piece[k:]
+    return bytes(out)
 
 
 def _products(target, others, rows, p):
@@ -240,8 +260,11 @@ def _reduce_spanning(
     whose test word has cover normal form ε removes the member, all
     normal forms charged against one shared step allowance.  Passes
     repeat until nothing changes or the allowance runs dry.  Every
-    removal is recorded as a replayable certificate.
+    removal is recorded as a replayable certificate.  Test words are
+    built in bytes from the members and their inverses, converted once
+    per search, and reach the reducer freely reduced, as it requires.
     """
+    members, inverses = _byte_pieces(spanning)
     live = list(range(len(spanning)))
     certs: list[RemovalCertificate] = []
     cell = [budget.max_steps]
@@ -255,11 +278,13 @@ def _reduce_spanning(
             for ridx in list(live):
                 others = [m for m in live if m != ridx]
                 for factors in _products(rows[ridx], others, rows, p):
-                    test = _test_word(spanning, ridx, factors)
+                    test = _test_word(members, inverses, ridx, factors)
                     if reduce_with_allowance(cover, test, cell) == words.EMPTY:
                         live.remove(ridx)
                         certs.append(
-                            RemovalCertificate(ridx, spanning[ridx], factors, test)
+                            RemovalCertificate(
+                                ridx, spanning[ridx], factors, tuple(test)
+                            )
                         )
                         changed = True
                         break
@@ -277,7 +302,7 @@ def replay_certificate(
     """Recheck a removal certificate from scratch against the cover system."""
     if cert.removed_word != spanning[cert.removed_index]:
         return False
-    test = _test_word(spanning, cert.removed_index, cert.factors)
+    test = tuple(_test_word(*_byte_pieces(spanning), cert.removed_index, cert.factors))
     if test != cert.test_word:
         return False
     return normal_form(cover, test) == words.EMPTY

@@ -82,6 +82,11 @@ reaches a rule exactly when the trie walk meets one, and it is the same
 rule: every normal form, every charge to an allowance and the point
 where StepLimitExceeded is raised are those of the trie walk.
 
+``reduce_with_allowance`` takes a freely reduced word, as the spanning
+search builds its test words, and charges only the rewrites it applies;
+``normal_form`` takes any word and freely reduces it first, free of
+charge.
+
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
 a finite confluent system costs a few words, not the whole cap. The
@@ -588,14 +593,24 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
 
 
 def normal_form(rws: RewriteSystem, word: Word, max_steps: int | None = None) -> Word:
-    """Normal form; StepLimitExceeded past ``max_steps`` rewrites, if given."""
+    """Normal form of any word; StepLimitExceeded past ``max_steps`` rewrites, if given.
+
+    The word is freely reduced first, at no charge, and then reduced as
+    ``reduce_with_allowance`` does.
+    """
     allowance = [math.inf if max_steps is None else max_steps]
-    return reduce_with_allowance(rws, word, allowance)
+    return reduce_with_allowance(rws, words.free_reduce(word), allowance)
 
 
-def reduce_with_allowance(rws: RewriteSystem, word: Word, allowance: list[int]) -> Word:
-    """Normal form charged against a caller-owned step allowance.
+def reduce_with_allowance(
+    rws: RewriteSystem, word: Word | bytes, allowance: list[int]
+) -> Word:
+    """Normal form of a freely reduced word, charged against a caller-owned allowance.
 
+    ``word`` is a sequence of letters, a tuple or bytes, and must be
+    freely reduced: this entry point does not cancel inverse pairs
+    itself.  Left in, such a pair is rewritten by the system's rules
+    and charged like any other rewrite; ``normal_form`` takes any word.
     The single-cell ``allowance`` list is decremented once per rewrite
     application and StepLimitExceeded is raised when it runs dry, so one
     budget can span a whole batch of reduction calls.  The word is
@@ -604,7 +619,7 @@ def reduce_with_allowance(rws: RewriteSystem, word: Word, allowance: list[int]) 
     completion's trie walk would (see the module docstring), so the
     result and the charge are the same.
     """
-    return tuple(rws._reducer().reduce(bytes(words.free_reduce(word)), allowance))
+    return tuple(rws._reducer().reduce(bytes(word), allowance))
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:

@@ -103,16 +103,15 @@ def proper_power_root(word: Sequence[int]) -> tuple[Word, int]:
     """Largest k with word == root**k for a freely reduced word.
 
     Returns ``(root, k)``; for the empty word returns ``((), 1)``.
-    Linear scan over divisors of the length.
+    Scans the divisors d of the length upwards: the word is the power of
+    its first d letters exactly when shifting it by d letters leaves it
+    unchanged, one tuple comparison.
     """
     w = tuple(word)
     n = len(w)
     if n == 0:
         return EMPTY, 1
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        root = w[:d]
-        if all(w[i] == root[i % d] for i in range(n)):
-            return root, n // d
+    for d in range(1, n):
+        if n % d == 0 and w[d:] == w[:-d]:
+            return w[:d], n // d
     return w, 1

@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hopfcalc import words
+from hopfcalc import hopf, words
 from hopfcalc.hopf import (
     BoundKind,
     build_p_cover,
@@ -222,3 +224,52 @@ def test_pipeline_records_are_pinned():
     assert h.hexdigest() == (
         "c3cd1fc83235b9b601d0fe79a49ce9052ca011ec10a9b74f38e7284356bbe809"
     )
+
+
+# freely reduced words over three generators (letters 0..5)
+reduced_words = st.lists(st.integers(min_value=0, max_value=5), max_size=12).map(
+    words.free_reduce
+)
+# a*b*a^-1 is freely but not cyclically reduced: its powers cancel at the seams
+SPECIAL_MEMBERS = ((), (0, 2, 1), (0, 2, 2, 1), (0,))
+
+
+def product_by_concat(spanning, ridx, factors):
+    """The test word as one free reduction of the whole product."""
+    powers = [words.power(spanning[m], e) for m, e in factors]
+    return bytes(words.concat(words.invert(spanning[ridx]), *powers))
+
+
+@given(st.data())
+def test_test_word_matches_one_free_reduction_of_the_product(data):
+    spanning = list(SPECIAL_MEMBERS) + data.draw(st.lists(reduced_words, max_size=4))
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    exponent = st.integers(min_value=1, max_value=p).flatmap(
+        lambda e: st.sampled_from((e, -e))
+    )
+    index = st.integers(min_value=0, max_value=len(spanning) - 1)
+    ridx = data.draw(index)
+    factors = data.draw(st.lists(st.tuples(index, exponent), max_size=3))
+    members, inverses = hopf._byte_pieces(spanning)
+    assert hopf._test_word(members, inverses, ridx, factors) == product_by_concat(
+        spanning, ridx, factors
+    )
+    # the removed member itself: the product cancels to the empty word
+    assert hopf._test_word(members, inverses, ridx, [(ridx, 1)]) == b""
+
+
+def test_flagship_search_reduces_each_candidate_once(monkeypatch):
+    # one call through hopf's module global per candidate, each on a
+    # freely reduced word; the counts are those of BENCH_12.json
+    seen = []
+    reduce = hopf.reduce_with_allowance
+
+    def counting(rws, word, allowance):
+        seen.append(bytes(word) == bytes(words.free_reduce(word)))
+        return reduce(rws, word, allowance)
+
+    monkeypatch.setattr(hopf, "reduce_with_allowance", counting)
+    res = run_pipeline(corpus("SL2Z7Z7_6GEN"), 7, Budget(max_steps=30_000))
+    assert len(seen) == 3251
+    assert all(seen)
+    assert res.budget_report["search_steps"] == 30_000

@@ -213,6 +213,27 @@ def partial_cover():
     return rws
 
 
+def test_normal_form_does_not_charge_free_cancellation():
+    assert normal_form(completed(Z6), (0, 1) * 30, max_steps=0) == ()
+
+
+@given(words3, words3, words3, st.booleans())
+def test_normal_form_is_reduce_with_allowance_of_the_free_reduction(u, v, x, partial):
+    # u·v·v^-1·x cancels freely whatever u, v and x are
+    rws = partial_cover() if partial else completed(S3)
+    w = tuple(u) + tuple(v) + words.invert(v) + tuple(x)
+    reduced = words.free_reduce(w)
+    cell = [10**6]
+    nf = reduce_with_allowance(rws, reduced, cell)
+    spent = 10**6 - cell[0]
+    assert normal_form(rws, w) == normal_form(rws, w, max_steps=spent) == nf
+    for allowance in range(spent):
+        with pytest.raises(StepLimitExceeded):
+            normal_form(rws, w, max_steps=allowance)
+        with pytest.raises(StepLimitExceeded):
+            reduce_with_allowance(rws, reduced, [allowance])
+
+
 def reference_reduce(rules, w):
     """Rewrite bytes w at the leftmost end of a match, shortest left side first.
 

@@ -129,3 +129,20 @@ def test_proper_power_root_reconstructs(w):
     r = words.free_reduce(w)
     root, k = words.proper_power_root(r)
     assert root * k == r
+
+
+def power_root_by_definition(w):
+    """Largest k, and its root, with root * k == w, by trying every k."""
+    n = len(w)
+    for k in range(n, 0, -1):
+        if n % k == 0 and w[: n // k] * k == w:
+            return w[: n // k], k
+    return (), 1
+
+
+@given(raw_words, st.integers(min_value=1, max_value=4))
+def test_proper_power_root_matches_the_power_definition(w, k):
+    r = words.free_reduce(w)
+    core, _ = words.cyclic_reduce(r)
+    for word in ((), r, r * k, core * k):
+        assert words.proper_power_root(word) == power_root_by_definition(word)
