@@ -179,10 +179,6 @@ def _parse_primes(args) -> list[int]:
     return out
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _csv(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -212,7 +208,7 @@ def cmd_compute(args) -> int:
         lines = [f"# rows: {mat.shape[0]}  cols: {mat.shape[1]}  prime: {args.prime}"]
         lines.extend(" ".join(str(int(x)) for x in row) for row in mat)
         Path(args.dump_matrix).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _emit(_render_compute(result, args.format, args.generators))
+    sys.stdout.write(_render_compute(result, args.format, args.generators))
     return 0
 
 
@@ -265,7 +261,7 @@ def cmd_table(args) -> int:
         for name in names
         for p in primes
     }
-    _emit(_render_table(names, primes, results, args.format))
+    sys.stdout.write(_render_table(names, primes, results, args.format))
     return 0
 
 
@@ -346,9 +342,9 @@ def cmd_simplify(args) -> int:
             "generators": list(out.generators),
             "relators": [render_word(r, out.generators) for r in out.relators],
         }
-        _emit(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
+        sys.stdout.write(json.dumps(record, indent=2, ensure_ascii=False) + "\n")
     else:
-        _emit(render_presentation(out))
+        sys.stdout.write(render_presentation(out))
     return 0
 
 
@@ -362,10 +358,10 @@ def cmd_oracle_check(args) -> int:
     budget = _budget(args)
     reports = [oracle.check(pres, p, budget, cap=args.max_order) for p in primes]
     if args.format == "json":
-        _emit(json.dumps(reports, indent=2, ensure_ascii=False) + "\n")
+        sys.stdout.write(json.dumps(reports, indent=2, ensure_ascii=False) + "\n")
     elif args.format == "csv":
         keys = list(reports[0])
-        _emit(_csv([keys] + [[rep[k] for k in keys] for rep in reports]))
+        sys.stdout.write(_csv([keys] + [[rep[k] for k in keys] for rep in reports]))
     else:
         lines = []
         for rep in reports:
@@ -376,5 +372,5 @@ def cmd_oracle_check(args) -> int:
                 f"oracle h1={rep['oracle_h1']} h2={rep['oracle_h2']}  "
                 f"{rep['verdict']}"
             )
-        _emit("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0 if all(rep["verdict"] == "pass" for rep in reports) else 1

@@ -23,16 +23,12 @@ of the output, and that is the rule applied. Shortest suffix first is
 the rule every normal form, step count and rule set depends on.
 
 A leaf has no children, which is sound because the left sides form an
-antichain once each insert is done. Within an insert there is one
-exception: a new left side L that is a proper suffix of live left sides
-takes over the branch that holds them. Each of them contains L, so
-interreduction retires them all in the same insert, and none could fire
-meanwhile, since L is the shorter suffix; ``_retire`` finds such a cut
-branch and leaves it to L.
+antichain at every reduction: an insert retires the rules whose left
+side contains the new one before installing it (see ``_insert``).
 
 Critical pairs skip part of the walk. A pair's equation starts with a
 right side on one side and a proper prefix of a left side on the other,
-both irreducible between inserts, so those letters go to the output
+both irreducible at every reduction, so those letters go to the output
 unwalked (see ``_equation``).
 
 Overlaps come from a second pair of indexes, from each proper prefix and
@@ -72,15 +68,14 @@ appended letter costs one lookup, not a walk. ``_insert``, the only
 place the live left sides change, drops the automaton; kept up to date
 inside completion, it would be rebuilt every few reductions.
 
-Both reducers apply the same rewrites. Once each insert is done the left
-sides form an antichain, and the output is irreducible. If a left side L
-is a suffix of output·x, the longest suffix of output·x that is a
-left-side prefix is L itself: a longer one would be a prefix of some
-left side with L as a proper substring. And no other left side is a
-suffix, since one of the two would end the other. So the automaton
-reaches a rule exactly when the trie walk meets one, and it is the same
-rule: every normal form, every charge to an allowance and the point
-where StepLimitExceeded is raised are those of the trie walk.
+Both reducers apply the same rewrites. The left sides form an antichain,
+and the output is irreducible. If a left side L is a suffix of output·x,
+the longest suffix of output·x that is a left-side prefix is L itself: a
+longer one would be a prefix of some left side with L as a proper
+substring. And no other left side is a suffix, since one of the two
+would end the other. So the automaton reaches a rule exactly when the
+trie walk meets one, and it is the same rule: every normal form, and
+every rewrite charged, is that of the trie walk.
 
 ``reduce_with_allowance`` takes a freely reduced word, as the spanning
 search builds its test words, and charges only the rewrites it applies;
@@ -125,10 +120,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-
-def _shortlex_max_first(u: bytes, v: bytes) -> tuple[bytes, bytes]:
-    return (u, v) if (len(u), u) > (len(v), v) else (v, u)
 
 
 def orient_relator(relator: Word) -> tuple[Word, Word] | None:
@@ -197,7 +188,8 @@ class RewriteSystem:
         self._prefixes: dict[bytes, int | list[int]] = {}
         self._suffixes: dict[bytes, int | list[int]] = {}
         self._next_id = 0
-        # _equation's arguments: (u, v), or (u, v, u_irreducible, v_irreducible)
+        # equations (u, v) that _equation turns into rules: the oriented
+        # relators, then the rules that interreduction retires
         self._pending: deque[tuple] = deque()
         # _pairs[length]: the critical pairs (i, j, k) of that overlap
         # length, |l_i| + |l_j| - k, in push order; every bucket below
@@ -238,12 +230,18 @@ class RewriteSystem:
         Interreduction touches the live rules with L inside a side.  One
         search of all their sides, joined by ``_SEP`` before the new rule
         is installed, tells whether there are any; only then is each
-        rule tested.  The touched rules are handled in id order: L in
-        the left side retires the rule and queues it as an equation, L
-        in the right side alone renormalizes that side.  The joined
-        sides are kept: with no rule touched, L and its right side are
-        appended; otherwise the buffer is dropped and the next insert
-        joins it again.
+        rule tested.  The rules with L in the left side are retired
+        first and queued as equations, in id order; then L is installed;
+        then the rules with L in the right side alone, all still live,
+        have that side renormalized, in id order.  So no live left side
+        contains L when L's leaf goes into the trie, and the left sides
+        are an antichain at every reduction.  The order
+        changes no result: while L is installed a left side containing
+        L can never fire, so a right side reduces to the same normal
+        form, at the same charge, before or after that rule is retired.
+        The joined sides are kept: with no rule touched, L and its right
+        side are appended; otherwise the buffer is dropped and the next
+        insert joins it again.
 
         L must contain no live left side; a normal form from
         ``_equation`` or an inverse pair from ``__init__`` never does.
@@ -258,12 +256,18 @@ class RewriteSystem:
             touched = [i for i, (l, r) in self.rules.items() if lhs in l or lhs in r]
         else:
             touched = []
+        renormalize = []
+        for other in touched:
+            l, r = self.rules[other]
+            if lhs in l:
+                self._retire(other)
+                self._pending.append((l, r))
+            else:
+                renormalize.append(other)
         rid = self._next_id
         node = self._trie
         for x in lhs[:0:-1]:
             node = node.setdefault(x, {})
-        # when lhs is a proper suffix of live left sides, this cuts off
-        # their branch; they are all touched and retired below
         node[lhs[0]] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
@@ -276,13 +280,9 @@ class RewriteSystem:
             sides += _SEP
             sides += rhs
             self._sides = sides
-        for other in touched:
+        for other in renormalize:
             l, r = self.rules[other]
-            if lhs in l:
-                self._retire(other)
-                self._pending.append((l, r))
-            else:
-                self.rules[other] = (l, self._nf(r))
+            self.rules[other] = (l, self._nf(r))
         # overlap queue, charged as a scan of the other live rules so
         # that step budgets keep their meaning
         self.steps += 2 * (len(self.rules) - 1)
@@ -329,23 +329,22 @@ class RewriteSystem:
             yield self._suffixes, lhs[-k:]
 
     def _retire(self, rid: int):
+        """Drop a live rule from ``rules``, the trie and the affix indexes.
+
+        The trie nodes on the rule's path are all dicts, since no newer
+        left side is installed until the rules it would end are retired;
+        the leaf goes, and then every node it leaves empty.
+        """
         lhs, _ = self.rules.pop(rid)
         # path[i] is the node reached after the last i letters of lhs
         path = [self._trie]
         for x in lhs[:0:-1]:
-            node = path[-1][x]
-            if type(node) is int:
-                # a newer left side, a proper suffix of this one, took
-                # over the branch: the leaf went with it, and every node
-                # above it is still on the newer rule's path
+            path.append(path[-1][x])
+        del path[-1][lhs[0]]
+        for i in range(len(path) - 1, 0, -1):
+            if path[i]:
                 break
-            path.append(node)
-        else:
-            del path[-1][lhs[0]]
-            for i in range(len(path) - 1, 0, -1):
-                if path[i]:
-                    break
-                del path[i - 1][lhs[-i]]
+            del path[i - 1][lhs[-i]]
         for index, affix in self._affixes(lhs):
             ids = index[affix]
             if type(ids) is int:
@@ -357,10 +356,8 @@ class RewriteSystem:
 
     # -- reduction --------------------------------------------------------
 
-    def _nf(
-        self, word: bytes, allowance: list[int] | None = None, irreducible: int = 0
-    ) -> bytes:
-        """Leftmost reduction, shortest applicable rule first.
+    def _nf(self, word: bytes, irreducible: int = 0) -> bytes:
+        """Completion's leftmost reduction, shortest applicable rule first.
 
         Letters move one at a time from ``pending`` to ``out``, which
         stays irreducible. After each append the trie is walked back from
@@ -372,9 +369,8 @@ class RewriteSystem:
         side; they go to ``out`` unwalked, which changes neither the
         result nor the rewrites charged.
 
-        ``allowance`` is a single-cell mutable step counter; when it runs
-        dry StepLimitExceeded is raised. Without one, applications are
-        charged to the completion step counter.
+        Each rewrite is charged to the completion's ``steps``.  A
+        finished system is read through ``reduce_with_allowance``.
         """
         trie = self._trie
         rules = self.rules
@@ -390,12 +386,7 @@ class RewriteSystem:
                         lhs, rhs = rules[node]
                         del out[len(out) - len(lhs):]
                         pending.extend(rhs[::-1])
-                        if allowance is None:
-                            self.steps += 1
-                        else:
-                            allowance[0] -= 1
-                            if allowance[0] < 0:
-                                raise StepLimitExceeded
+                        self.steps += 1
                     break
         return bytes(out)
 
@@ -411,12 +402,12 @@ class RewriteSystem:
         live right side is irreducible, since interreduction
         renormalizes it or retires its rule, and so is every proper
         substring of a live left side, since the left sides form an
-        antichain once each insert is done.
+        antichain.  The rule rewrites the shortlex-larger side.
         """
-        un, vn = self._nf(u, None, u_irreducible), self._nf(v, None, v_irreducible)
+        un, vn = self._nf(u, u_irreducible), self._nf(v, v_irreducible)
         if un == vn:
             return None
-        return _shortlex_max_first(un, vn)
+        return (un, vn) if (len(un), un) > (len(vn), vn) else (vn, un)
 
     def _reducer(self) -> _PrefixAutomaton:
         """The prefix automaton of the live rules, built on first use."""
@@ -545,15 +536,17 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     that pops it, with the lengths of its two irreducible prefixes, r_i
     and l_i[:-k] (see ``_equation``); no insert comes in between to
     break that irreducibility.  When the budget runs out between the
-    two steps, the equation is left on the pending queue.  A pair of
-    live rules still overlaps, since a rule id's left side never
+    two steps, completion stops there and the equation is dropped.  A
+    pair of live rules still overlaps, since a rule id's left side never
     changes.
 
-    The returned system is finished: the unpopped critical pairs and the
-    interreduction buffer are released once ``confluent`` is set, so a
-    later call cannot take up where this one stopped.  Such a call on a
-    limited system still leaves ``confluent`` False, since ``limited``
-    stays set.
+    The loop ends with nothing queued unless ``limited`` is set, so the
+    system is confluent exactly when it is not limited.  The returned
+    system is finished: the pending equations, the unpopped critical
+    pairs and the interreduction buffer are released, so a later call
+    cannot take up where this one stopped.  Such a call on a limited
+    system changes nothing and still leaves ``confluent`` False, since
+    ``limited`` stays set.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -566,13 +559,12 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
             rws.steps += 1
             if i not in rws.rules or j not in rws.rules:
                 continue
+            if rws.steps >= budget.max_steps:
+                rws.limited = True
+                break
             li, ri = rws.rules[i]
             lj, rj = rws.rules[j]
             entry = (ri + lj[k:], li[:-k] + rj, len(ri), len(li) - k)
-            if rws.steps >= budget.max_steps:
-                rws.limited = True
-                rws._pending.append(entry)
-                break
         else:
             break
         rws.steps += 1
@@ -587,7 +579,8 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
             rws.limited = True
             break
         rws._insert(lhs, rhs)
-    rws.confluent = not rws.limited and not rws._pending and not rws._queued
+    rws.confluent = not rws.limited
+    rws._pending.clear()
     rws._pairs, rws._shortest, rws._queued, rws._sides = [], 0, 0, None
     return rws
 

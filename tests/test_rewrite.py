@@ -280,8 +280,14 @@ def assert_both_reducers_match_the_reference(rws, w):
     normal form of the freely reduced w, charging its rewrite count."""
     w = bytes(words.free_reduce(w))
     expected = reference_reduce(rws.rules, w)
-    trie, automaton = [10**6], [10**6]
-    assert (tuple(rws._nf(w, trie)), 10**6 - trie[0]) == expected
+    # _nf charges rws.steps; restore it, since partial_cover() is shared
+    steps = rws.steps
+    try:
+        nf = rws._nf(w)
+        assert (tuple(nf), rws.steps - steps) == expected
+    finally:
+        rws.steps = steps
+    automaton = [10**6]
     assert (reduce_with_allowance(rws, tuple(w), automaton), 10**6 - automaton[0]) == expected
 
 
@@ -540,9 +546,12 @@ def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, st
 def test_a_second_completion_of_a_limited_system_is_not_confluent():
     rws = knuth_bendix(initial_rules(S3), Budget(max_steps=5))
     assert rws.limited and not rws.confluent
-    # the first call released its unpopped pairs, so the second one
-    # drains what is left without meeting them
+    assert not rws._pending and not rws._queued
+    # the first call released its pending equations and unpopped pairs,
+    # so the second one finds nothing to do
+    rules, steps = dict(rws.rules), rws.steps
     knuth_bendix(rws, Budget())
+    assert (rws.rules, rws.steps) == (rules, steps)
     assert not rws._pending and not rws._queued
     assert not rws.confluent
 
@@ -568,13 +577,20 @@ def test_interreduction_buffer_is_dropped_or_the_join_of_the_live_sides(shape, p
 
 
 class LoggedRules(dict):
-    """A rule store that logs every install and retirement, in order."""
+    """A rule store that logs every install and retirement, in order.
+
+    A new rule's left side must neither contain a live one nor be
+    contained in one when it goes in: the left sides stay an antichain.
+    """
 
     def __init__(self, rules):
         super().__init__(rules)
         self.log = []
 
     def __setitem__(self, rid, rule):
+        if rid not in self:
+            lhs = rule[0]
+            assert not any(lhs in l or l in lhs for l, _ in self.values())
         self.log.append(("set", rid, rule))
         super().__setitem__(rid, rule)
 
@@ -586,21 +602,26 @@ class LoggedRules(dict):
 def reference_insert(rules, lhs, rhs, rid):
     """(store log, pending entries, steps) of installing lhs -> rhs as rid.
 
-    Interreduction by a scan of every live rule in id order: lhs in a
-    left side retires the rule and queues it, else lhs in a right side
-    renormalizes that side under the rules live at that moment.  The
-    steps are the rewrites plus the overlap queue's charge.  lhs must
-    not be installed already.
+    Interreduction by scans of every live rule in id order: first each
+    rule with lhs in its left side is retired and queued; then lhs is
+    installed; then each rule with lhs in its right side has that side
+    renormalized.  The steps are the rewrites plus the overlap queue's
+    charge.  lhs must not be installed already.
     """
-    live = {**rules, rid: (lhs, rhs)}
-    log, pending, steps = [("set", rid, (lhs, rhs))], [], 0
+    live = dict(rules)
+    log, pending, steps = [], [], 0
     for other in sorted(rules):
         l, r = live[other]
         if lhs in l:
             del live[other]
             log.append(("pop", other))
             pending.append((l, r))
-        elif lhs in r:
+    assert not any(lhs in l or l in lhs for l, _ in live.values())
+    live[rid] = (lhs, rhs)
+    log.append(("set", rid, (lhs, rhs)))
+    for other in sorted(live):
+        l, r = live[other]
+        if other != rid and lhs in r:
             nf, applied = reference_reduce(live, r)
             live[other] = (l, bytes(nf))
             log.append(("set", other, live[other]))
@@ -688,9 +709,16 @@ def test_pair_prefixes_are_irreducible_and_skipping_them_changes_nothing(shape, 
     def equation(self, u, v, u_irreducible=0, v_irreducible=0):
         for w, k in ((u, u_irreducible), (v, v_irreducible)):
             assert reference_reduce(self.rules, w[:k]) == (tuple(w[:k]), 0)
-            skipping, scratch = [10**6], [10**6]
-            assert self._nf(w, skipping, k) == self._nf(w, scratch)
+            # both reductions charge self.steps; it is restored so that
+            # the completion takes its own course
+            steps = self.steps
+            skipping = self._nf(w, k)
+            skipping_charge = self.steps - steps
+            scratch = self._nf(w)
+            scratch_charge = self.steps - steps - skipping_charge
+            self.steps = steps
             assert skipping == scratch
+            assert skipping_charge == scratch_charge
         return original(self, u, v, u_irreducible, v_irreducible)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -698,7 +726,7 @@ def test_pair_prefixes_are_irreducible_and_skipping_them_changes_nothing(shape, 
         knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
 
 
-def test_a_left_side_that_ends_live_ones_cuts_their_branch():
+def test_the_rules_a_left_side_ends_are_retired_before_its_leaf_goes_in():
     rws = RewriteSystem(2)  # a = 0, A = 1, b = 2, B = 3
     checked_insert(rws, b"\x00\x02\x02", b"\x01")  # abb -> A
     checked_insert(rws, b"\x02\x02\x02", b"\x00\x00")  # bbb -> aa
@@ -706,7 +734,23 @@ def test_a_left_side_that_ends_live_ones_cuts_their_branch():
     checked_insert(rws, b"\x00\x00\x00\x00", b"\x02\x02")  # aaaa -> bb
     # the branch of the left sides ending in bb, next to Bb's leaf
     assert type(rws._trie[2][2]) is dict and type(rws._trie[2][3]) is int
-    checked_insert(rws, b"\x02\x02", b"")  # bb -> ε ends abb and bbb
+    retired = []
+    original = RewriteSystem._retire
+
+    def retire(self, rid):
+        lhs, _ = self.rules[rid]
+        node = self._trie
+        for x in lhs[:0:-1]:
+            node = node[x]
+            assert type(node) is dict
+        assert node[lhs[0]] == rid
+        retired.append(lhs)
+        original(self, rid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_retire", retire)
+        checked_insert(rws, b"\x02\x02", b"")  # bb -> ε ends abb and bbb
+    assert retired == [b"\x00\x02\x02", b"\x02\x02\x02", b"\x02\x02\x00"]
     rid = rws._next_id - 1
     assert rws._trie[2][2] == rid and type(rws._trie[2][3]) is int
     # abb, bbb and bba retired; aaaa's right side renormalized
@@ -715,12 +759,12 @@ def test_a_left_side_that_ends_live_ones_cuts_their_branch():
 
 
 def test_completed_psl2z_cover_trie_holds_exactly_the_live_rules():
-    cuts = []
+    suffixes = []
     original = RewriteSystem._insert
 
     def insert(self, lhs, rhs):
         if any(l.endswith(lhs) for l, _ in self.rules.values()):
-            cuts.append(lhs)
+            suffixes.append(lhs)
         original(self, lhs, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -728,7 +772,7 @@ def test_completed_psl2z_cover_trie_holds_exactly_the_live_rules():
         rws = knuth_bendix(
             initial_rules(build_p_cover(corpus("PSL2_Z"), 2)), Budget(max_steps=20000)
         )
-    assert cuts, "no left side ended a live one"
+    assert suffixes, "no left side ended a live one"
     assert_trie_holds_exactly_the_live_rules(rws)
 
 
