@@ -11,10 +11,14 @@ dimension of that map restricted to A.
 What keeps the pipeline honest is the bound kind.  The spanning set
 starts as the full relator list and only ever shrinks under replayable
 certificates, so ``spanning size minus image rank`` is always a sound
-upper bound for h2.  It is promoted to an exact value only when dim A
-itself is certified: by counting elements of the group and its cover
-through confluent rewriting systems, by the spanning set emptying, or
-by the one-relator criterion.
+upper bound for h2.  The search that shrinks it makes one pass over the
+members in input order: members only leave, so a second pass would
+retest each survivor on a subset of its candidate products, whose
+normal forms in the finished cover system do not change, and would
+remove nothing.  The bound is promoted to an exact value only when
+dim A itself is certified: by counting elements of the group and its
+cover through confluent rewriting systems, by the spanning set
+emptying, or by the one-relator criterion.
 """
 
 from __future__ import annotations
@@ -251,48 +255,46 @@ def _reduce_spanning(
     p: int,
     budget: Budget,
 ):
-    """Remove provably redundant spanning elements, in input order.
+    """Remove provably redundant spanning elements, in one pass in input order.
 
     A member is dropped when it equals a product of at most two other
     live members (integer exponents up to p in absolute value) in the
     cover group.  ``_products`` streams the candidate products whose
     abelianized image matches, a cheap necessary condition; the first
     whose test word has cover normal form ε removes the member, all
-    normal forms charged against one shared step allowance.  Passes
-    repeat until nothing changes or the allowance runs dry.  Every
+    normal forms charged against one shared step allowance.  Every
     removal is recorded as a replayable certificate.  Test words are
     built in bytes from the members and their inverses, converted once
     per search, and reach the reducer freely reduced, as it requires.
+
+    One pass is the fixed point.  Live members only leave, so a second
+    pass would try each survivor against a subset of the members it was
+    tried against, and ``_products`` would yield a subsequence of the
+    same factor lists and test words.  The cover system is finished, so
+    each of those words has the non-empty normal form it had in this
+    pass, and a second pass would remove nothing.
     """
     members, inverses = _byte_pieces(spanning)
     live = list(range(len(spanning)))
     certs: list[RemovalCertificate] = []
     cell = [budget.max_steps]
-    passes = 0
     exhausted = False
     try:
-        changed = True
-        while changed:
-            changed = False
-            passes += 1
-            for ridx in list(live):
-                others = [m for m in live if m != ridx]
-                for factors in _products(rows[ridx], others, rows, p):
-                    test = _test_word(members, inverses, ridx, factors)
-                    if reduce_with_allowance(cover, test, cell) == words.EMPTY:
-                        live.remove(ridx)
-                        certs.append(
-                            RemovalCertificate(
-                                ridx, spanning[ridx], factors, tuple(test)
-                            )
-                        )
-                        changed = True
-                        break
+        for ridx in range(len(spanning)):
+            others = [m for m in live if m != ridx]
+            for factors in _products(rows[ridx], others, rows, p):
+                test = _test_word(members, inverses, ridx, factors)
+                if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+                    live.remove(ridx)
+                    certs.append(
+                        RemovalCertificate(ridx, spanning[ridx], factors, tuple(test))
+                    )
+                    break
     except StepLimitExceeded:
         exhausted = True
 
     used = budget.max_steps - max(cell[0], 0)
-    report = {"passes": passes, "steps": used, "exhausted": exhausted}
+    report = {"steps": used, "exhausted": exhausted}
     return live, certs, report
 
 
@@ -392,7 +394,7 @@ def run_pipeline(
         "spanning_initial": len(spanning_all),
         "initial_bound": len(spanning_all) - rank_all,
         "removals": len(certs),
-        "search_passes": search["passes"],
+        "search_passes": 1,
         "search_steps": search["steps"],
         "search_exhausted": search["exhausted"],
     }

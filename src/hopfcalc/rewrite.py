@@ -78,9 +78,9 @@ trie walk meets one, and it is the same rule: every normal form, and
 every rewrite charged, is that of the trie walk.
 
 ``reduce_with_allowance`` takes a freely reduced word, as the spanning
-search builds its test words, and charges only the rewrites it applies;
-``normal_form`` takes any word and freely reduces it first, free of
-charge.
+search builds its test words, and charges only the rewrites it applies
+to the search's step allowance; ``normal_form`` takes any word, freely
+reduces it first and reduces it with no limit.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -105,7 +105,7 @@ class Overflow(Exception):
 
 
 class StepLimitExceeded(Exception):
-    """A normal-form computation ran out of its step allowance."""
+    """``reduce_with_allowance`` ran out of its caller's step allowance."""
 
 
 @dataclass(frozen=True)
@@ -585,14 +585,13 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     return rws
 
 
-def normal_form(rws: RewriteSystem, word: Word, max_steps: int | None = None) -> Word:
-    """Normal form of any word; StepLimitExceeded past ``max_steps`` rewrites, if given.
+def normal_form(rws: RewriteSystem, word: Word) -> Word:
+    """Normal form of any word, with no step limit.
 
-    The word is freely reduced first, at no charge, and then reduced as
+    The word is freely reduced first and then reduced as
     ``reduce_with_allowance`` does.
     """
-    allowance = [math.inf if max_steps is None else max_steps]
-    return reduce_with_allowance(rws, words.free_reduce(word), allowance)
+    return reduce_with_allowance(rws, words.free_reduce(word), [math.inf])
 
 
 def reduce_with_allowance(

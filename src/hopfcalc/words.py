@@ -94,11 +94,6 @@ def exponent_vector(word: Sequence[int], n_generators: int) -> list[int]:
     return vec
 
 
-def shortlex_key(word: Sequence[int]) -> tuple[int, Tuple[int, ...]]:
-    w = tuple(word)
-    return (len(w), w)
-
-
 def proper_power_root(word: Sequence[int]) -> tuple[Word, int]:
     """Largest k with word == root**k for a freely reduced word.
 

@@ -21,7 +21,13 @@ from hopfcalc.hopf import (
     to_json,
 )
 from hopfcalc.presentation import corpus, corpus_names, parse_presentation
-from hopfcalc.rewrite import Budget, initial_rules, knuth_bendix
+from hopfcalc.rewrite import (
+    Budget,
+    StepLimitExceeded,
+    initial_rules,
+    knuth_bendix,
+    reduce_with_allowance,
+)
 
 Z5 = parse_presentation("gens: a\nrel: a^5\n", name="Z5")
 TORUS = parse_presentation("gens: a b\nrel: [a,b]\n", name="torus")
@@ -205,25 +211,94 @@ def test_pipeline_is_deterministic():
     assert a == b
 
 
-def test_pipeline_records_are_pinned():
-    # every corpus entry at every table prime on a small budget, plus
-    # SL2_F2 at p=3 in full: removals by the empty, single and pair
-    # products all occur, so a change to the search order, the cover
-    # system or the step accounting shows up here
+def pinned_cells():
+    """The 45 pinned cells, as (presentation, prime, budget).
+
+    Every corpus entry at every table prime on a small budget, plus
+    SL2_F2 at p=3 in full: removals by the empty, single and pair
+    products all occur.
+    """
     cells = [
         (corpus(name), p, Budget(max_steps=3000))
         for name in corpus_names()
         for p in (2, 3, 5, 7)
     ]
     cells.append((corpus("SL2_F2"), 3, Budget()))
+    return cells
+
+
+def test_pipeline_records_are_pinned():
+    # a change to the search order, the cover system or the step
+    # accounting shows up here
     h = hashlib.sha256()
-    for pres, p, budget in cells:
+    for pres, p, budget in pinned_cells():
         res = run_pipeline(pres, p, budget)
         h.update(json.dumps(to_json(res), ensure_ascii=False).encode())
         h.update(repr(res.certificates).encode())
     assert h.hexdigest() == (
-        "c3cd1fc83235b9b601d0fe79a49ce9052ca011ec10a9b74f38e7284356bbe809"
+        "c8b7fab439303b39b4117a77797567f485a5604a7232e451a00d7e9bbbaa39e2"
     )
+
+
+def fixed_point_search(spanning, rows, cover, p, budget):
+    """The spanning search in passes until one removes nothing, as a reference.
+
+    Returns the live indices, the certificates, the steps spent, whether
+    the allowance ran dry, and the number of removals in each pass.
+    """
+    members, inverses = hopf._byte_pieces(spanning)
+    live = list(range(len(spanning)))
+    certs = []
+    removed = []
+    cell = [budget.max_steps]
+    exhausted = False
+    try:
+        changed = True
+        while changed:
+            changed = False
+            removed.append(0)
+            for ridx in list(live):
+                others = [m for m in live if m != ridx]
+                for factors in hopf._products(rows[ridx], others, rows, p):
+                    test = hopf._test_word(members, inverses, ridx, factors)
+                    if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+                        live.remove(ridx)
+                        certs.append(
+                            hopf.RemovalCertificate(
+                                ridx, spanning[ridx], factors, tuple(test)
+                            )
+                        )
+                        removed[-1] += 1
+                        changed = True
+                        break
+    except StepLimitExceeded:
+        exhausted = True
+    return live, certs, budget.max_steps - max(cell[0], 0), exhausted, removed
+
+
+def test_one_pass_search_reaches_the_fixed_point():
+    second_passes = cheaper = 0
+    for pres, p, budget in pinned_cells():
+        cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
+        spanning = list(pres.relators)
+        rows = [
+            tuple(e % p for e in words.exponent_vector(r, pres.arity))
+            for r in spanning
+        ]
+        live, certs, report = hopf._reduce_spanning(spanning, rows, cover, p, budget)
+        ref_live, ref_certs, ref_steps, ref_exhausted, removed = fixed_point_search(
+            spanning, rows, cover, p, budget
+        )
+        cell = (pres.name, p)
+        assert (live, certs) == (ref_live, ref_certs), cell
+        assert report["steps"] <= ref_steps, cell
+        assert report["exhausted"] <= ref_exhausted, cell
+        assert not any(removed[1:]), cell
+        second_passes += len(removed) > 1
+        cheaper += report["steps"] < ref_steps
+    # the cells whose search_passes fell from 2 to 1, and those of them
+    # whose search_steps fell
+    assert (second_passes, cheaper) == (10, 7)
 
 
 # freely reduced words over three generators (letters 0..5)

@@ -147,7 +147,7 @@ def test_normal_form_is_read_only():
 def test_normal_form_step_limit():
     rws = completed(Z6)
     with pytest.raises(StepLimitExceeded):
-        normal_form(rws, (0,) * 60, max_steps=1)
+        reduce_with_allowance(rws, words.free_reduce((0,) * 60), [1])
 
 
 def test_reduce_with_allowance_shares_one_budget():
@@ -214,7 +214,13 @@ def partial_cover():
 
 
 def test_normal_form_does_not_charge_free_cancellation():
-    assert normal_form(completed(Z6), (0, 1) * 30, max_steps=0) == ()
+    rws = completed(Z6)
+    w = (0, 1) * 30
+    assert normal_form(rws, w) == ()
+    assert reduce_with_allowance(rws, words.free_reduce(w), [0]) == ()
+    # left in, the inverse pairs are rewritten by the rules and charged
+    with pytest.raises(StepLimitExceeded):
+        reduce_with_allowance(rws, w, [0])
 
 
 @given(words3, words3, words3, st.booleans())
@@ -226,10 +232,12 @@ def test_normal_form_is_reduce_with_allowance_of_the_free_reduction(u, v, x, par
     cell = [10**6]
     nf = reduce_with_allowance(rws, reduced, cell)
     spent = 10**6 - cell[0]
-    assert normal_form(rws, w) == normal_form(rws, w, max_steps=spent) == nf
+    assert normal_form(rws, w) == nf
+    # one charge per rewrite: exactly spent is enough, and less is not
+    cell = [spent]
+    assert reduce_with_allowance(rws, reduced, cell) == nf
+    assert cell == [0]
     for allowance in range(spent):
-        with pytest.raises(StepLimitExceeded):
-            normal_form(rws, w, max_steps=allowance)
         with pytest.raises(StepLimitExceeded):
             reduce_with_allowance(rws, reduced, [allowance])
 

@@ -117,13 +117,6 @@ def test_cyclic_reduce_is_a_conjugation(w):
     assert not (len(core) >= 2 and core[0] == core[-1] ^ 1)
 
 
-@given(raw_words, raw_words)
-def test_shortlex_is_total(u, v):
-    ru, rv = words.free_reduce(u), words.free_reduce(v)
-    ku, kv = words.shortlex_key(ru), words.shortlex_key(rv)
-    assert (ku < kv or kv < ku) == (ru != rv)
-
-
 @given(raw_words)
 def test_proper_power_root_reconstructs(w):
     r = words.free_reduce(w)
