@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfcalc import hopf, words
+from hopfcalc import fplinalg, hopf, words
 from hopfcalc.hopf import (
     BoundKind,
     build_p_cover,
@@ -132,6 +132,48 @@ def test_single_relator_promotion_requires_zero_image_row():
     res = run_pipeline(parse_presentation("gens: a b\nrel: a*b*a*b^-2\n"), 2)
     # row (2,-1) is nonzero mod 2, so the kernel is empty either way
     assert res.h2_value == 0
+
+
+def test_order_count_above_the_spanning_size_is_refused(monkeypatch):
+    # Z5 at p=5 keeps one spanning member; orders 5 and 125 claim dim A = 2
+    orders = iter((5, 125))
+    monkeypatch.setattr(hopf, "group_order", lambda rws, cap: next(orders))
+    with pytest.raises(ArithmeticError):
+        run_pipeline(Z5, 5)
+
+
+def test_order_count_below_the_one_relator_bound_is_refused(monkeypatch):
+    # the torus relator is not a proper power, so dim A >= 1; equal
+    # orders claim dim A = 0
+    monkeypatch.setattr(hopf, "group_order", lambda rws, cap: 1)
+    with pytest.raises(ArithmeticError):
+        run_pipeline(TORUS, 3)
+
+
+def test_search_that_drops_image_rank_is_refused(monkeypatch):
+    # a^5 has the nonzero image row (1) mod 2; dropping it loses rank
+    monkeypatch.setattr(
+        hopf,
+        "_reduce_spanning",
+        lambda spanning, rows, cover, p, budget: ([], [], {"steps": 0, "exhausted": False}),
+    )
+    with pytest.raises(ArithmeticError):
+        run_pipeline(Z5, 2)
+
+
+def test_kernel_that_fails_to_annihilate_is_refused(monkeypatch):
+    left_kernel_basis = fplinalg.left_kernel_basis
+
+    def shifted(mat, p):
+        # as many rows as the true kernel, each moved off it by one
+        # member with a nonzero image row
+        kernel = left_kernel_basis(mat, p)
+        kernel[:, np.flatnonzero(mat.any(axis=1))[0]] += 1
+        return kernel
+
+    monkeypatch.setattr(fplinalg, "left_kernel_basis", shifted)
+    with pytest.raises(ArithmeticError, match="annihilate"):
+        run_pipeline(corpus("SL2_F2"), 2)
 
 
 def test_candidates_annihilate_the_image_matrix():
