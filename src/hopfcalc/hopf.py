@@ -10,15 +10,15 @@ dimension of that map restricted to A.
 
 What keeps the pipeline honest is the bound kind.  The spanning set
 starts as the full relator list and only ever shrinks under replayable
-certificates, so ``spanning size minus image rank`` is always a sound
-upper bound for h2.  The search that shrinks it makes one pass over the
+certificates, so its size m bounds dim A from above and ``m minus image
+rank`` bounds h2.  The search that shrinks it makes one pass over the
 members in input order: members only leave, so a second pass would
 retest each survivor on a subset of its candidate products, whose
 normal forms in the finished cover system do not change, and would
-remove nothing.  The bound is promoted to an exact value only when
-dim A itself is certified: by counting elements of the group and its
-cover through confluent rewriting systems, by the spanning set
-emptying, or by the one-relator criterion.
+remove nothing.  From below, dim A is bounded by certified sources: the
+order count of the group and its cover through confluent rewriting
+systems gives dim A itself, the one-relator criterion gives 1, and 0
+holds always.  h2 is exact exactly when the largest lower bound is m.
 """
 
 from __future__ import annotations
@@ -319,7 +319,12 @@ def run_pipeline(
     p: int,
     budget: Budget = DEFAULT_BUDGET,
 ) -> HopfResult:
-    """Run the whole computation for one presentation at one prime."""
+    """Run the whole computation for one presentation at one prime.
+
+    h2 is exact when dim A's lower bound meets the reduced spanning size
+    m; a source above the order count, or a bound above m, raises
+    ``ArithmeticError``.
+    """
     _require_prime(p)
     base = knuth_bendix(initial_rules(pres), budget)
     cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
@@ -328,50 +333,42 @@ def run_pipeline(
     dim_a = _order_dim_a(base_order, cover_order, p)
 
     n = pres.arity
-    spanning_all = list(pres.relators)
-    all_rows = [
-        tuple(e % p for e in words.exponent_vector(r, n)) for r in spanning_all
-    ]
-    h1 = h1_dimension(pres, p)
-    rank_all = n - h1
+    relators = list(pres.relators)
+    rows = exponent_matrix(relators, n, p)
+    rank_all = fplinalg.rank(rows, p)
+    h1 = n - rank_all
 
-    live, certs, search = _reduce_spanning(spanning_all, all_rows, cover, p, budget)
-    final = [spanning_all[i] for i in live]
-    mat = image_matrix(final, n, p)
-    rank = fplinalg.rank(mat, p)
+    live, certs, search = _reduce_spanning(
+        relators, [tuple(r) for r in rows.tolist()], cover, p, budget
+    )
+    final = [relators[i] for i in live]
+    mat = rows[live]
+    m = len(final)
+    kernel = fplinalg.left_kernel_basis(mat, p)
+    rank = m - len(kernel)
     if rank != rank_all:
         raise ArithmeticError("spanning reduction changed the image rank")
-    m = len(final)
-    if dim_a is not None and dim_a > m:
-        raise ArithmeticError("certified dim A exceeds the reduced spanning size")
-
-    kind = BoundKind.UPPER_BOUND
-    if dim_a is not None and m == dim_a:
-        kind = BoundKind.EXACT
-    elif m == 0:
-        # an empty spanning set certifies A = 0 outright
-        kind = BoundKind.EXACT
-    elif m == 1:
-        # one-relator criterion: a lone relator that is not a proper
-        # power freely generates the relation module, so its class in A
-        # is nonzero and dim A = 1.  The zero image row keeps this to
-        # the only case the promotion changes (h2 = 1 instead of <= 1).
-        nontrivial = [r for r in pres.relators if r]
-        if len(nontrivial) == 1 and all(x == 0 for x in all_rows[live[0]]):
-            core, _ = words.cyclic_reduce(final[0])
-            _, k = words.proper_power_root(core)
-            if k == 1:
-                kind = BoundKind.EXACT
-
-    h2 = m - rank
-    if kind is BoundKind.EXACT and dim_a is not None and dim_a != h2 + n - h1:
-        raise ArithmeticError("rank-nullity identity violated")
-
-    kernel = fplinalg.left_kernel_basis(mat, p)
-    if len(kernel) != h2:
-        raise ArithmeticError("kernel dimension disagrees with the h2 value")
     if kernel.size and np.any((kernel @ mat) % p):
         raise ArithmeticError("kernel vectors fail to annihilate the image matrix")
+
+    # Certified lower bounds on dim A; order counting gives dim A itself.
+    # One-relator criterion: a lone relator that is not a proper power
+    # freely generates the relation module, so its class in A is
+    # nonzero.  The zero image row keeps this to the only case the
+    # bound changes (h2 = 1 instead of <= 1).
+    nontrivial = [r for r in relators if r]
+    one_relator = (
+        len(nontrivial) == 1
+        and rank_all == 0
+        and words.proper_power_root(words.cyclic_reduce(nontrivial[0])[0])[1] == 1
+    )
+    sources = (0, int(one_relator))
+    lower = max(sources) if dim_a is None else dim_a
+    if not max(sources) <= lower <= m:
+        raise ArithmeticError("certified bounds on dim A cross")
+    kind = BoundKind.EXACT if lower == m else BoundKind.UPPER_BOUND
+    h2 = m - rank
+
     candidates = []
     for c in kernel:
         coeffs = tuple(int(x) for x in c)
@@ -391,8 +388,8 @@ def run_pipeline(
         "group_order": base_order,
         "cover_order": cover_order,
         "order_dim_a": dim_a,
-        "spanning_initial": len(spanning_all),
-        "initial_bound": len(spanning_all) - rank_all,
+        "spanning_initial": len(relators),
+        "initial_bound": len(relators) - rank_all,
         "removals": len(certs),
         "search_passes": 1,
         "search_steps": search["steps"],
