@@ -17,8 +17,10 @@ retest each survivor on a subset of its candidate products, whose
 normal forms in the finished cover system do not change, and would
 remove nothing.  From below, dim A is bounded by certified sources: the
 order count of the group and its cover through confluent rewriting
-systems gives dim A itself, the one-relator criterion gives 1, and 0
-holds always.  h2 is exact exactly when the largest lower bound is m.
+systems gives dim A itself, A maps onto the image of the relators in
+F_p^n, so dim A is at least the image rank, and the one-relator
+criterion gives 1.  h2 is exact exactly when the largest lower bound is
+m, so an h2 of 0 is always exact.
 """
 
 from __future__ import annotations
@@ -352,17 +354,16 @@ def run_pipeline(
         raise ArithmeticError("kernel vectors fail to annihilate the image matrix")
 
     # Certified lower bounds on dim A; order counting gives dim A itself.
-    # One-relator criterion: a lone relator that is not a proper power
-    # freely generates the relation module, so its class in A is
-    # nonzero.  The zero image row keeps this to the only case the
-    # bound changes (h2 = 1 instead of <= 1).
+    # A maps onto the row space of the exponent matrix, so dim A is at
+    # least its rank.  One-relator criterion: a lone relator that is
+    # not a proper power freely generates the relation module, so its
+    # class in A is nonzero.
     nontrivial = [r for r in relators if r]
     one_relator = (
         len(nontrivial) == 1
-        and rank_all == 0
         and words.proper_power_root(words.cyclic_reduce(nontrivial[0])[0])[1] == 1
     )
-    sources = (0, int(one_relator))
+    sources = (rank_all, int(one_relator))
     lower = max(sources) if dim_a is None else dim_a
     if not max(sources) <= lower <= m:
         raise ArithmeticError("certified bounds on dim A cross")

@@ -128,10 +128,10 @@ def test_proper_power_relator_is_not_promoted():
         assert res.h2_value == 1
 
 
-def test_single_relator_promotion_requires_zero_image_row():
+def test_single_relator_with_a_nonzero_image_row_is_exact():
     res = run_pipeline(parse_presentation("gens: a b\nrel: a*b*a*b^-2\n"), 2)
-    # row (2,-1) is nonzero mod 2, so the kernel is empty either way
-    assert res.h2_value == 0
+    # row (2,-1) is nonzero mod 2: the image rank 1 meets the spanning size
+    assert (res.h2_value, res.h2_kind) == (0, BoundKind.EXACT)
 
 
 def test_order_count_above_the_spanning_size_is_refused(monkeypatch):
@@ -270,16 +270,24 @@ def pinned_cells():
 
 
 def test_pipeline_records_are_pinned():
-    # a change to the search order, the cover system or the step
-    # accounting shows up here
+    # a change to the search order, the cover system, the step
+    # accounting or the exactness rule shows up here
     h = hashlib.sha256()
     for pres, p, budget in pinned_cells():
         res = run_pipeline(pres, p, budget)
         h.update(json.dumps(to_json(res), ensure_ascii=False).encode())
         h.update(repr(res.certificates).encode())
     assert h.hexdigest() == (
-        "c8b7fab439303b39b4117a77797567f485a5604a7232e451a00d7e9bbbaa39e2"
+        "664387279b007f46f902c1f8cfc79192796dc719097dc8602336c5403de679bb"
     )
+
+
+def test_zero_h2_is_exact():
+    # dim A is at least the image rank, and h2 = 0 means m is that rank
+    for pres, p, budget in pinned_cells():
+        res = run_pipeline(pres, p, budget)
+        if res.h2_value == 0:
+            assert res.h2_kind is BoundKind.EXACT, (pres.name, p)
 
 
 def fixed_point_search(spanning, rows, cover, p, budget):
