@@ -63,7 +63,7 @@ TABLE2_MARKERS = {
     "SL2_Z": ((2, "ub"), (2, "ub"), (1, "ub"), (1, "ub")),
     "SL2_ZI": ((1, "exact"), (0, "exact"), (0, "exact"), (0, "exact")),
     "SL2_ZOMEGA": ((1, "ub"), (2, "ub"), (1, "ub"), (1, "ub")),
-    "SL2_ZSQRTM5": ((3, "ub"), (3, "ub"), (0, "exact"), (0, "exact")),
+    "SL2_ZSQRTM5": ((3, "ub"), (3, "ub"), (1, "exact"), (1, "exact")),
     "PSL2_Z": ((1, "ub"), (1, "ub"), (0, "exact"), (0, "exact")),
 }
 
