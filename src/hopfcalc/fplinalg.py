@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Moduli stay below this, so that the product of two residues fits in int64.
+PRIME_LIMIT = 2**31
+
 
 def _as_2d(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
@@ -41,6 +44,8 @@ def _eliminate(a: np.ndarray, p: int, n_cols: int, full: bool) -> list[int]:
     or with ``full`` in every other row, which leaves the reduced row
     echelon form.
     """
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"modulus must be below 2^31, got {p}")
     rows = a.shape[0]
     pivots: list[int] = []
     r = 0

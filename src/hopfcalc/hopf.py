@@ -103,6 +103,8 @@ class HopfResult:
 def _require_prime(p) -> None:
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
+    if p >= fplinalg.PRIME_LIMIT:
+        raise ValueError(f"modulus must be below 2^31, got {p}")
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"modulus must be prime, got {p}")
 
@@ -350,7 +352,9 @@ def run_pipeline(
     rank = m - len(kernel)
     if rank != rank_all:
         raise ArithmeticError("spanning reduction changed the image rank")
-    if kernel.size and np.any((kernel @ mat) % p):
+    # each product is reduced before the m of them are summed, so the
+    # check cannot overflow int64
+    if np.any((kernel[:, :, None] * mat % p).sum(axis=1) % p):
         raise ArithmeticError("kernel vectors fail to annihilate the image matrix")
 
     # Certified lower bounds on dim A; order counting gives dim A itself.

@@ -150,6 +150,8 @@ def test_oracle_check_csv(capsys):
 def test_validation_errors_exit_2(tmp_path, capsys):
     assert run(capsys, "compute", "--corpus", "NOPE", "--prime", "2")[0] == 2
     assert run(capsys, "compute", "--corpus", "SL2_F2", "--prime", "4")[0] == 2
+    # prime, but at or above 2^31, where products of residues overflow int64
+    assert run(capsys, "compute", "--corpus", "SL2_F2", "--prime", "4294967311")[0] == 2
     missing = tmp_path / "missing.pres"
     assert run(capsys, "compute", "--pres", str(missing), "--prime", "2")[0] == 2
     bad = tmp_path / "bad.pres"

@@ -46,6 +46,12 @@ def test_rank_depends_on_the_prime():
     mat = [[2, 0], [0, 1]]
     assert la.rank(mat, 2) == 1
     assert la.rank(mat, 3) == 2
+    # rank 2 for p > 3; past 2^31 the int64 products overflow, and at
+    # p = 4294967311 the elimination gave 3
+    rows = [[1, 3, -3], [0, -2, 2], [3, 0, 0]]
+    assert la.rank(rows, 2**31 - 1) == 2
+    with pytest.raises(ValueError):
+        la.rank(rows, 4294967311)
 
 
 def test_rref_pivot_columns_are_elementary():

@@ -35,7 +35,7 @@ FREE2 = parse_presentation("gens: a b\n", name="F2")
 COMM_SQUARED = parse_presentation("gens: a b\nrel: [a,b]^2\n", name="csq")
 
 
-@pytest.mark.parametrize("bad", [1, 4, 6, -3, 2.0, True, "5"])
+@pytest.mark.parametrize("bad", [1, 4, 6, -3, 2.0, True, "5", 4294967311])
 def test_prime_validation(bad):
     with pytest.raises(ValueError):
         h1_dimension(Z5, bad)
@@ -46,6 +46,8 @@ def test_h1_known_values():
     assert h1_dimension(Z5, 2) == 0
     assert h1_dimension(FREE2, 3) == 2
     assert h1_dimension(TORUS, 7) == 2
+    three = parse_presentation("gens: a b c\nrel: a*b^3*c^-3\nrel: b^-2*c^2\nrel: a^3\n")
+    assert h1_dimension(three, 2**31 - 1) == 1
 
 
 def test_exponent_matrix_shape_and_mod():
