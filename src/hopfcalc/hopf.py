@@ -15,12 +15,11 @@ rank`` bounds h2.  The search that shrinks it makes one pass over the
 members in input order: members only leave, so a second pass would
 retest each survivor on a subset of its candidate products, whose
 normal forms in the finished cover system do not change, and would
-remove nothing.  From below, dim A is bounded by certified sources: the
-order count of the group and its cover through confluent rewriting
-systems gives dim A itself, A maps onto the image of the relators in
-F_p^n, so dim A is at least the image rank, and the one-relator
-criterion gives 1.  h2 is exact exactly when the largest lower bound is
-m, so an h2 of 0 is always exact.
+remove nothing.  From below, certified sources bound dim A: order
+counting through confluent systems for the group and its cover gives
+dim A itself, A maps onto the relators' image in F_p^n so the image
+rank is one, and the one-relator criterion gives 1.  h2 is exact
+exactly when the largest lower bound is m, so h2 = 0 is always exact.
 """
 
 from __future__ import annotations
@@ -325,8 +324,10 @@ def run_pipeline(
 ) -> HopfResult:
     """Run the whole computation for one presentation at one prime.
 
-    h2 is exact when dim A's lower bound meets the reduced spanning size
-    m; a source above the order count, or a bound above m, raises
+    dim A lies in [lower, m], m the reduced spanning size, and h2 is
+    exact iff lower == m.  lower is the order count when there is one,
+    else the larger of the image rank and the one-relator criterion's 1.
+    A source above the order count, or lower above m, raises
     ``ArithmeticError``.
     """
     _require_prime(p)
@@ -352,10 +353,6 @@ def run_pipeline(
     rank = m - len(kernel)
     if rank != rank_all:
         raise ArithmeticError("spanning reduction changed the image rank")
-    # each product is reduced before the m of them are summed, so the
-    # check cannot overflow int64
-    if np.any((kernel[:, :, None] * mat % p).sum(axis=1) % p):
-        raise ArithmeticError("kernel vectors fail to annihilate the image matrix")
 
     # Certified lower bounds on dim A; order counting gives dim A itself.
     # A maps onto the row space of the exponent matrix, so dim A is at
@@ -372,10 +369,12 @@ def run_pipeline(
     if not max(sources) <= lower <= m:
         raise ArithmeticError("certified bounds on dim A cross")
     kind = BoundKind.EXACT if lower == m else BoundKind.UPPER_BOUND
-    h2 = m - rank
 
     candidates = []
     for c in kernel:
+        # each product is reduced before m of them are summed: no int64 overflow
+        if np.any((c[:, None] * mat % p).sum(axis=0) % p):
+            raise ArithmeticError("kernel vectors fail to annihilate the image matrix")
         coeffs = tuple(int(x) for x in c)
         parts = [words.power(w, e) for w, e in zip(final, coeffs) if e]
         word = words.concat(*parts)
@@ -408,7 +407,7 @@ def run_pipeline(
         h1_dim=h1,
         dim_a=m,
         rank_image=rank,
-        h2_value=h2,
+        h2_value=len(kernel),
         h2_kind=kind,
         spanning_set=tuple(final),
         candidates=tuple(candidates),
