@@ -19,6 +19,16 @@ import numpy as np
 PRIME_LIMIT = 2**31
 
 
+def require_prime(p) -> None:
+    """ValueError unless p is a prime int below ``PRIME_LIMIT``."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        raise ValueError(f"modulus must be a prime integer, got {p!r}")
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"modulus must be below 2^31, got {p}")
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValueError(f"modulus must be prime, got {p}")
+
+
 def _as_2d(mat) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
     if a.ndim == 1:

@@ -99,15 +99,6 @@ class HopfResult:
     budget_report: dict
 
 
-def _require_prime(p) -> None:
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise ValueError(f"modulus must be a prime integer, got {p!r}")
-    if p >= fplinalg.PRIME_LIMIT:
-        raise ValueError(f"modulus must be below 2^31, got {p}")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError(f"modulus must be prime, got {p}")
-
-
 def exponent_matrix(relators: Sequence[Word], n: int, p: int) -> np.ndarray:
     """One row per word: its exponent vector reduced mod p."""
     rows = [words.exponent_vector(r, n) for r in relators]
@@ -120,7 +111,7 @@ def h1_dimension(pres: Presentation, p: int) -> int:
     Abelianizing kills every commutator, so each relator only constrains
     F_p^n through its exponent vector.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     n = pres.arity
     return n - fplinalg.rank(exponent_matrix(pres.relators, n, p), p)
 
@@ -134,7 +125,7 @@ def build_p_cover(pres: Presentation, p: int) -> Presentation:
     of order dividing p; their images span the elementary abelian
     subgroup A that the spanning-set reduction works inside.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     rel: list[Word] = [words.power(r, p) for r in pres.relators]
     for r in pres.relators:
         for g in range(pres.arity):
@@ -145,7 +136,7 @@ def build_p_cover(pres: Presentation, p: int) -> Presentation:
 
 def image_matrix(spanning_set: Sequence[Word], n: int, p: int) -> np.ndarray:
     """Mod-p abelianized image of each spanning word, one matrix row each."""
-    _require_prime(p)
+    fplinalg.require_prime(p)
     for w in spanning_set:
         if any(x < 0 or x >= 2 * n for x in w):
             raise ValueError("word letter out of range for the given arity")
@@ -330,7 +321,7 @@ def run_pipeline(
     A source above the order count, or lower above m, raises
     ``ArithmeticError``.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     base = knuth_bendix(initial_rules(pres), budget)
     cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
     base_order = group_order(base, ORDER_CAP)

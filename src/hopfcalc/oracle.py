@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fplinalg
-from .hopf import BoundKind, _require_prime, run_pipeline
+from .hopf import BoundKind, run_pipeline
 from .presentation import Presentation
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -92,7 +92,7 @@ def bar_h1(t: MultTable, p: int) -> int:
     and generators x.  In the basis h - 1 (h not the identity) of I,
     each is its group-basis column with the identity coordinate dropped.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     act = np.array(t.right, dtype=np.int64)[:, ::2]
     n, k = act.shape
     span = np.zeros((n, n * k), dtype=np.int64)
@@ -113,7 +113,7 @@ def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
     when [D2 | A] is reduced there, in one elimination of D2.
     Raises ArithmeticError for a relator that does not hold in ``t``.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     order, k, r = t.order, len(t.right[0]) // 2, len(relators)
     d2 = np.zeros((order * r, order * k), dtype=np.int64)
     for g in range(order):
@@ -150,7 +150,7 @@ def check(
     exists, before running the pipeline and without judging it either
     way.  Raises ValueError for a cap below 1.
     """
-    _require_prime(p)
+    fplinalg.require_prime(p)
     if cap < 1:
         raise ValueError(f"oracle group-order cap must be at least 1, got {cap}")
     base = knuth_bendix(initial_rules(pres), budget)

@@ -15,8 +15,8 @@ through one index: a trie of the left sides read backwards, from the
 last letter to the first, whose leaves are rule ids: a left side's id
 sits in its parent node under the left side's first letter, in place of
 a child, so a walk costs one lookup and one type test per letter.
-``rules`` is the only store of right sides that an insert updates (the
-prefix automaton below copies them, and an insert drops it). Reduction
+``rules`` is the only store of right sides: the trie and the prefix
+automaton below hold rule ids and read a rule from it. Reduction
 appends one letter at a time and walks the trie back from that letter;
 the first rule id on the walk is the shortest left side that is a suffix
 of the output, and that is the rule applied. Shortest suffix first is
@@ -32,12 +32,13 @@ both irreducible at every reduction, so those letters go to the output
 unwalked (see ``_equation``).
 
 Overlaps come from a second pair of indexes, from each proper prefix and
-each proper suffix of a live left side to the rules that have it. Two
-left sides overlap by k letters exactly when the first's suffix of
-length k is the second's prefix of length k, so a new left side finds
-its partners by looking up its own suffixes among the prefixes and its
-prefixes among the suffixes, without visiting the rules it cannot
-overlap.
+each proper suffix of a live left side to the list of ids of the rules
+that have it. Two left sides overlap by k letters exactly when the
+first's suffix of length k is the second's prefix of length k, so a new
+left side finds its partners by looking up its own suffixes among the
+prefixes and its prefixes among the suffixes, without visiting the rules
+it cannot overlap. Only an insert reads the suffix index, so
+``knuth_bendix`` releases it; the prefix index stays for the automaton.
 
 Critical pairs wait in one FIFO bucket per overlap length, and a pop
 takes the oldest pair of the shortest length queued. That is the order of
@@ -64,9 +65,11 @@ goes through a prefix automaton built from it on first use
 (``_PrefixAutomaton``): its states are the prefixes of the live left
 sides, the state of a word being its longest suffix that is such a
 prefix, and each transition is computed once and then cached, so an
-appended letter costs one lookup, not a walk. ``_insert``, the only
-place the live left sides change, drops the automaton; kept up to date
-inside completion, it would be rebuilt every few reductions.
+appended letter costs one lookup, not a walk. A transition that
+completes a left side is a hit and carries the rule's id, and the
+rewrite reads the rule from ``rules`` as ``_nf`` does. ``_insert``, the
+only place the live left sides change, drops the automaton; kept up to
+date inside completion, it would be rebuilt every few reductions.
 
 Both reducers apply the same rewrites. The left sides form an antichain,
 and the output is irreducible. If a left side L is a suffix of output·x,
@@ -165,12 +168,6 @@ MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte val
 _SEP = b"\xff"
 
 
-def _holders(index: dict, affix: bytes):
-    """The ids an affix index holds under ``affix``, as an iterable."""
-    ids = index.get(affix, ())
-    return (ids,) if type(ids) is int else ids
-
-
 class RewriteSystem:
     """Mutable during completion, then treated as immutable."""
 
@@ -183,10 +180,11 @@ class RewriteSystem:
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
         self._trie: dict = {}
-        # proper prefix / proper suffix of a live left side -> the id of
-        # the rule that has it, or a list of ids when several have it
-        self._prefixes: dict[bytes, int | list[int]] = {}
-        self._suffixes: dict[bytes, int | list[int]] = {}
+        # proper prefix / proper suffix of a live left side -> the ids of
+        # the rules that have it, in install order; the automaton reads the
+        # prefixes, and knuth_bendix releases the suffixes when it is done
+        self._prefixes: dict[bytes, list[int]] = {}
+        self._suffixes: dict[bytes, list[int]] = {}
         self._next_id = 0
         # equations (u, v) that _equation turns into rules: the oriented
         # relators, then the rules that interreduction retires
@@ -289,9 +287,9 @@ class RewriteSystem:
         n = len(lhs)
         hits = [(rid, 0, k) for k in range(1, n) if lhs.endswith(lhs[:k])]
         for k in range(1, n):
-            for other in _holders(self._prefixes, lhs[-k:]):
+            for other in self._prefixes.get(lhs[-k:], ()):
                 hits.append((other, 0, k))
-            for other in _holders(self._suffixes, lhs[:k]):
+            for other in self._suffixes.get(lhs[:k], ()):
                 hits.append((other, 1, k))
         hits.sort()
         pairs, rules, shortest = self._pairs, self.rules, self._shortest
@@ -305,13 +303,7 @@ class RewriteSystem:
         self._shortest = shortest
         self._queued += len(hits)
         for index, affix in self._affixes(lhs):
-            ids = index.get(affix)
-            if ids is None:
-                index[affix] = rid
-            elif type(ids) is int:
-                index[affix] = [ids, rid]
-            else:
-                ids.append(rid)
+            index.setdefault(affix, []).append(rid)
 
     def _pop_pair(self) -> tuple[int, int, int]:
         """Take the oldest queued pair of the shortest overlap length."""
@@ -347,12 +339,9 @@ class RewriteSystem:
             del path[i - 1][lhs[-i]]
         for index, affix in self._affixes(lhs):
             ids = index[affix]
-            if type(ids) is int:
+            ids.remove(rid)
+            if not ids:
                 del index[affix]
-            else:
-                ids.remove(rid)
-                if len(ids) == 1:
-                    index[affix] = ids[0]
 
     # -- reduction --------------------------------------------------------
 
@@ -425,42 +414,40 @@ class _PrefixAutomaton:
     on letter x drops letters from the front of s·x until what is left
     is a proper prefix of a left side (the completion's prefix index
     holds them) or a whole left side, and is cached under s << 8 | x.
-    A whole left side is a hit: (letters of it already in the output,
-    its right side reversed), in place of a next state.  The system's
-    rules must not change while the automaton is in use; ``_insert``
-    drops it.
+    A whole left side is a hit: ~rid, a negative int, in place of a next
+    state, and the rule is read from the system's ``rules``, the only
+    store of right sides.  The rules must not change while the automaton
+    is in use; ``_insert`` drops it.
     """
 
     def __init__(self, rws: RewriteSystem):
         self._prefixes = rws._prefixes
-        self._hits = {lhs: (len(lhs) - 1, rhs[::-1]) for lhs, rhs in rws.rules.values()}
+        self._rules = rws.rules
         self._words = [b""]
-        self._ids = {b"": 0}
-        self._delta: dict[int, int | tuple[int, bytes]] = {}
+        # reached state -> its number; whole left side -> ~rid.  A state
+        # is a proper prefix of a left side, which no left side is.
+        self._ids = {lhs: ~rid for rid, (lhs, _) in rws.rules.items()}
+        self._ids[b""] = 0
+        self._delta: dict[int, int] = {}
 
-    def step(self, state: int, x: int) -> int | tuple[int, bytes]:
-        """The next state, or the hit, from ``state`` on letter ``x``."""
-        t = self._delta.get(state << 8 | x)
+    def step(self, state: int, x: int) -> int:
+        """The next state from ``state`` on letter ``x``, or ~rid for a hit."""
+        key = state << 8 | x
+        t = self._delta.get(key)
         if t is None:
-            t = self._transition(state, x)
-        return t
-
-    def _transition(self, state: int, x: int) -> int | tuple[int, bytes]:
-        s = self._words[state] + bytes((x,))
-        while s:
-            t = self._hits.get(s)
-            if t is not None:
-                break
-            if s in self._prefixes:
+            s = self._words[state] + bytes((x,))
+            while s:
                 t = self._ids.get(s)
-                if t is None:
+                if t is not None:
+                    break
+                if s in self._prefixes:
                     t = self._ids[s] = len(self._words)
                     self._words.append(s)
-                break
-            s = s[1:]
-        else:
-            t = 0
-        self._delta[state << 8 | x] = t
+                    break
+                s = s[1:]
+            else:
+                t = 0
+            self._delta[key] = t
         return t
 
     def reduce(self, word: bytes, allowance: list[int]) -> bytes:
@@ -468,9 +455,10 @@ class _PrefixAutomaton:
 
         ``states[i]`` is the state of the output's first i letters.  A
         hit drops the left side's letters already in the output, and
-        their states, and puts the right side back onto ``pending``.
+        their states, and puts the right side back onto ``pending``, as
+        ``_nf`` does.
         """
-        delta = self._delta
+        delta, rules = self._delta, self._rules
         out = bytearray()
         states = [0]
         state = 0
@@ -479,19 +467,20 @@ class _PrefixAutomaton:
             x = pending.pop()
             t = delta.get(state << 8 | x)
             if t is None:
-                t = self._transition(state, x)
-            if type(t) is int:
+                t = self.step(state, x)
+            if t >= 0:
                 out.append(x)
                 states.append(t)
                 state = t
             else:
+                lhs, rhs = rules[~t]
                 # cut is 0 for a left side of one letter, so the slices
                 # start at len(), not at -cut
-                cut, back = t
+                cut = len(lhs) - 1
                 del out[len(out) - cut:]
                 del states[len(states) - cut:]
                 state = states[-1]
-                pending += back
+                pending += rhs[::-1]
                 allowance[0] -= 1
                 if allowance[0] < 0:
                     raise StepLimitExceeded
@@ -543,10 +532,12 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     The loop ends with nothing queued unless ``limited`` is set, so the
     system is confluent exactly when it is not limited.  The returned
     system is finished: the pending equations, the unpopped critical
-    pairs and the interreduction buffer are released, so a later call
-    cannot take up where this one stopped.  Such a call on a limited
-    system changes nothing and still leaves ``confluent`` False, since
-    ``limited`` stays set.
+    pairs, the interreduction buffer and the suffix index, which only
+    an insert reads, are released, so a later call cannot take up where
+    this one stopped.  Such a call on a limited system changes nothing
+    and still leaves ``confluent`` False, since ``limited`` stays set.
+    A finished system must not be inserted into; the prefix index stays,
+    since the prefix automaton reads it.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -582,6 +573,7 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     rws.confluent = not rws.limited
     rws._pending.clear()
     rws._pairs, rws._shortest, rws._queued, rws._sides = [], 0, 0, None
+    rws._suffixes = {}
     return rws
 
 
@@ -647,7 +639,7 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:
         for w, state in layer:
             for x in alphabet:
                 t = step(state, x)
-                if type(t) is int:
+                if t >= 0:
                     cand = w + bytes([x])
                     m = len(cand)
                     if m > c and cand.find(cand[m - c:], 0, m - 1) >= 0:

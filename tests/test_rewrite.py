@@ -355,23 +355,41 @@ def live_affixes(rws):
     return prefixes, suffixes
 
 
+def held_ids(index):
+    """An affix index as {affix: set of ids}.
+
+    Every entry must be a non-empty list of distinct ids, so an emptied
+    entry left behind fails here.
+    """
+    held = {}
+    for affix, ids in index.items():
+        assert type(ids) is list and ids and len(ids) == len(set(ids))
+        held[affix] = set(ids)
+    return held
+
+
 def test_overlap_index_holds_exactly_the_live_affixes():
-    full = completed(corpus("SL2_F3"))
-    full_cover = completed(build_p_cover(corpus("SL2_F2"), 2))
-    for rws in (partial_cover(), full, full_cover):
+    # the suffix index is checked after every insert, since knuth_bendix
+    # releases it; the prefix index on the finished systems
+    original = RewriteSystem._insert
+    inserts = []
+
+    def insert(self, lhs, rhs):
+        original(self, lhs, rhs)
+        assert held_ids(self._suffixes) == live_affixes(self)[1]
+        inserts.append(lhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_insert", insert)
+        # partial_cover's own completion, uncached, so its inserts are seen
+        partial = partial_cover.__wrapped__()
+        full = completed(corpus("SL2_F3"))
+        full_cover = completed(build_p_cover(corpus("SL2_F2"), 2))
+    assert inserts
+    for rws in (partial, full, full_cover):
         assert rws._next_id > len(rws.rules), "no rule was retired"
-        prefixes, suffixes = live_affixes(rws)
-        for index, reference in ((rws._prefixes, prefixes), (rws._suffixes, suffixes)):
-            held = {}
-            for affix, ids in index.items():
-                if isinstance(ids, int):
-                    held[affix] = {ids}
-                else:
-                    # one id is held bare, never as a list
-                    assert len(ids) == len(set(ids)) >= 2
-                    held[affix] = set(ids)
-            # an emptied entry left behind would hold the empty set here
-            assert held == reference
+        assert held_ids(rws._prefixes) == live_affixes(rws)[0]
+        assert rws._suffixes == {}
     assert full.confluent and full_cover.confluent
 
 
@@ -403,17 +421,21 @@ def small_presentation(shape, p):
     return pres if p is None else build_p_cover(pres, p)
 
 
-@given(*small_completion_args, st.data())
-def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
-    # partial and complete systems; words glued from letters and whole
-    # left sides, not freely reduced
-    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+def glued_word(data, rws):
+    """A word glued from letters and whole left sides, not freely reduced."""
     lefts = sorted(lhs for lhs, _ in rws.rules.values())
     piece = st.one_of(
         st.integers(min_value=0, max_value=2 * rws.arity - 1).map(lambda x: bytes([x])),
         st.sampled_from(lefts),
     )
-    w = b"".join(data.draw(st.lists(piece, max_size=6)))
+    return b"".join(data.draw(st.lists(piece, max_size=6)))
+
+
+@given(*small_completion_args, st.data())
+def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
+    # partial and complete systems
+    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+    w = glued_word(data, rws)
     nf, applied = reference_reduce(rws.rules, w)
     automaton = rws._reducer()
     cell = [applied]
@@ -421,6 +443,59 @@ def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
     for allowance in range(applied):
         with pytest.raises(StepLimitExceeded):
             automaton.reduce(w, [allowance])
+
+
+def automaton_hits(rws, w):
+    """(normal form, ids of the rules applied in order), by the prefix automaton's ``step``."""
+    step = rws._reducer().step
+    out, states, hits = bytearray(), [0], []
+    pending = bytearray(w[::-1])
+    while pending:
+        x = pending.pop()
+        t = step(states[-1], x)
+        if t >= 0:
+            out.append(x)
+            states.append(t)
+        else:
+            hits.append(~t)
+            lhs, rhs = rws.rules[~t]
+            del out[len(out) - len(lhs) + 1:]
+            del states[len(states) - len(lhs) + 1:]
+            pending += rhs[::-1]
+    return bytes(out), hits
+
+
+def trie_walk_hits(rws, w):
+    """(normal form, ids of the rules applied in order), by a walk of the trie.
+
+    After each appended letter the trie is walked back from it, and the
+    first rule id met is rewritten at once.
+    """
+    out, hits = bytearray(), []
+    pending = bytearray(w[::-1])
+    while pending:
+        out.append(pending.pop())
+        node = rws._trie
+        for x in reversed(out):
+            node = node.get(x)
+            if node is None:
+                break
+            if type(node) is int:
+                hits.append(node)
+                lhs, rhs = rws.rules[node]
+                del out[len(out) - len(lhs):]
+                pending += rhs[::-1]
+                break
+    return bytes(out), hits
+
+
+@given(*small_completion_args, st.data())
+def test_both_reducers_fire_the_same_rule(shape, p, steps, data):
+    # the same normal form could come from different rules; the ids
+    # must agree rewrite by rewrite
+    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+    w = glued_word(data, rws)
+    assert automaton_hits(rws, w) == trie_walk_hits(rws, w)
 
 
 def test_an_insert_drops_the_prefix_automaton():
