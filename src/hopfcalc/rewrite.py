@@ -12,9 +12,10 @@ pipeline needs from partial systems).
 Internally words are bytes objects, one letter per byte, which caps a
 presentation at 128 generators. During completion, rule lookup goes
 through one index: a trie of the left sides read backwards, from the
-last letter to the first, whose leaves are rule ids: a left side's id
-sits in its parent node under the left side's first letter, in place of
-a child, so a walk costs one lookup and one type test per letter.
+last letter to the first.  A node is a list with one slot per letter of
+the alphabet, holding a child node, a rule id or None; a left side's id
+sits in the slot of its first letter, in place of a child, so a walk
+costs one list subscript and one type test per letter.
 ``rules`` is the only store of right sides: the trie and the prefix
 automaton below hold rule ids and read a rule from it. Reduction
 appends one letter at a time and walks the trie back from that letter;
@@ -64,8 +65,9 @@ search, ``normal_form``, element counting), so ``reduce_with_allowance``
 goes through a prefix automaton built from it on first use
 (``_PrefixAutomaton``): its states are the prefixes of the live left
 sides, the state of a word being its longest suffix that is such a
-prefix, and each transition is computed once and then cached, so an
-appended letter costs one lookup, not a walk. A transition that
+prefix, and each transition is computed once and then cached in the
+state's row, a list indexed by letter like a trie node, so an appended
+letter costs one subscript, not a walk. A transition that
 completes a left side is a hit and carries the rule's id, and the
 rewrite reads the rule from ``rules`` as ``_nf`` does. ``_insert``, the
 only place the live left sides change, drops the automaton; kept up to
@@ -179,7 +181,8 @@ class RewriteSystem:
             )
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
-        self._trie: dict = {}
+        # one slot per letter: a child node, a rule id (a leaf) or None
+        self._trie: list = [None] * (2 * arity)
         # proper prefix / proper suffix of a live left side -> the ids of
         # the rules that have it, in install order; the automaton reads the
         # prefixes, and knuth_bendix releases the suffixes when it is done
@@ -265,7 +268,10 @@ class RewriteSystem:
         rid = self._next_id
         node = self._trie
         for x in lhs[:0:-1]:
-            node = node.setdefault(x, {})
+            child = node[x]
+            if child is None:
+                child = node[x] = [None] * len(node)
+            node = child
         node[lhs[0]] = rid
         self._next_id += 1
         self.rules[rid] = (lhs, rhs)
@@ -323,20 +329,24 @@ class RewriteSystem:
     def _retire(self, rid: int):
         """Drop a live rule from ``rules``, the trie and the affix indexes.
 
-        The trie nodes on the rule's path are all dicts, since no newer
+        The trie nodes on the rule's path are all lists, since no newer
         left side is installed until the rules it would end are retired;
-        the leaf goes, and then every node it leaves empty.
+        the leaf's slot goes back to None, and so does the slot of every
+        node left with nothing but None.  A node is tested by counting
+        its None slots, not by truth: a list is true however empty its
+        slots, and rule id 0 is a false leaf.
         """
         lhs, _ = self.rules.pop(rid)
         # path[i] is the node reached after the last i letters of lhs
         path = [self._trie]
         for x in lhs[:0:-1]:
             path.append(path[-1][x])
-        del path[-1][lhs[0]]
+        path[-1][lhs[0]] = None
+        width = len(self._trie)
         for i in range(len(path) - 1, 0, -1):
-            if path[i]:
+            if path[i].count(None) != width:
                 break
-            del path[i - 1][lhs[-i]]
+            path[i - 1][lhs[-i]] = None
         for index, affix in self._affixes(lhs):
             ids = index[affix]
             ids.remove(rid)
@@ -369,8 +379,8 @@ class RewriteSystem:
             out.append(pending.pop())
             node = trie
             for x in reversed(out):
-                node = node.get(x)
-                if type(node) is not dict:
+                node = node[x]
+                if type(node) is not list:
                     if node is not None:
                         lhs, rhs = rules[node]
                         del out[len(out) - len(lhs):]
@@ -413,8 +423,9 @@ class _PrefixAutomaton:
     longest suffix that is such a prefix.  The transition from state s
     on letter x drops letters from the front of s·x until what is left
     is a proper prefix of a left side (the completion's prefix index
-    holds them) or a whole left side, and is cached under s << 8 | x.
-    A whole left side is a hit: ~rid, a negative int, in place of a next
+    holds them) or a whole left side, and is cached in s's row, a list
+    with one slot per letter that is appended when s is numbered.  A
+    whole left side is a hit: ~rid, a negative int, in place of a next
     state, and the rule is read from the system's ``rules``, the only
     store of right sides.  The rules must not change while the automaton
     is in use; ``_insert`` drops it.
@@ -428,12 +439,13 @@ class _PrefixAutomaton:
         # is a proper prefix of a left side, which no left side is.
         self._ids = {lhs: ~rid for rid, (lhs, _) in rws.rules.items()}
         self._ids[b""] = 0
-        self._delta: dict[int, int] = {}
+        # _delta[s][x]: the cached transition from state s on letter x
+        self._delta: list[list[int | None]] = [[None] * (2 * rws.arity)]
 
     def step(self, state: int, x: int) -> int:
         """The next state from ``state`` on letter ``x``, or ~rid for a hit."""
-        key = state << 8 | x
-        t = self._delta.get(key)
+        row = self._delta[state]
+        t = row[x]
         if t is None:
             s = self._words[state] + bytes((x,))
             while s:
@@ -443,11 +455,12 @@ class _PrefixAutomaton:
                 if s in self._prefixes:
                     t = self._ids[s] = len(self._words)
                     self._words.append(s)
+                    self._delta.append([None] * len(row))
                     break
                 s = s[1:]
             else:
                 t = 0
-            self._delta[key] = t
+            row[x] = t
         return t
 
     def reduce(self, word: bytes, allowance: list[int]) -> bytes:
@@ -465,7 +478,7 @@ class _PrefixAutomaton:
         pending = bytearray(word[::-1])
         while pending:
             x = pending.pop()
-            t = delta.get(state << 8 | x)
+            t = delta[state][x]
             if t is None:
                 t = self.step(state, x)
             if t >= 0:
@@ -601,9 +614,16 @@ def reduce_with_allowance(
     reduced through the system's prefix automaton, built on the first
     call and kept until the rules change; it applies the rewrites the
     completion's trie walk would (see the module docstring), so the
-    result and the charge are the same.
+    result and the charge are the same.  A letter outside the system's
+    alphabet, 2 * arity or more, is a ValueError.
     """
-    return tuple(rws._reducer().reduce(bytes(word), allowance))
+    word = bytes(word)
+    if word and max(word) >= 2 * rws.arity:
+        raise ValueError(
+            f"letter {max(word)} is outside the alphabet of "
+            f"{rws.arity} generators and their inverses"
+        )
+    return tuple(rws._reducer().reduce(word, allowance))
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:

@@ -160,6 +160,17 @@ def test_reduce_with_allowance_shares_one_budget():
         reduce_with_allowance(rws, (0,) * 60, [1])
 
 
+@pytest.mark.parametrize("letter", [4, 255])
+def test_letters_outside_the_alphabet_are_rejected(letter):
+    # S3 has two generators, so its letters are 0..3
+    rws = completed(S3)
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        reduce_with_allowance(rws, (0, letter), [10])
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        normal_form(rws, (letter,))
+    assert normal_form(rws, (3,)) == normal_form(rws, (2, 2))
+
+
 def test_limited_completion_is_still_sound_for_trivial_words():
     # under a tiny budget the system stays partial but any word it does
     # send to the empty word really is trivial in the group
@@ -266,17 +277,22 @@ def reference_reduce(rules, w):
 def trie_leaves(rws):
     """The (left side, rule id) pairs the trie holds; no node may be empty.
 
-    A leaf is a rule id, stored in its parent node under the left
-    side's first letter; every node below the root is a non-empty dict.
+    A node is a list with one slot per letter; a leaf is a rule id, in
+    its parent node's slot for the left side's first letter; every node
+    below the root has a slot that is not None.
     """
     found = set()
+    width = 2 * rws.arity
 
     def walk(node, suffix):
-        for letter, child in node.items():
+        assert type(node) is list and len(node) == width
+        for letter, child in enumerate(node):
+            if child is None:
+                continue
             if type(child) is int:
                 found.add((bytes([letter]) + suffix, child))
             else:
-                assert child, "emptied trie node left behind"
+                assert child.count(None) < width, "emptied trie node left behind"
                 walk(child, bytes([letter]) + suffix)
 
     walk(rws._trie, b"")
@@ -477,7 +493,7 @@ def trie_walk_hits(rws, w):
         out.append(pending.pop())
         node = rws._trie
         for x in reversed(out):
-            node = node.get(x)
+            node = node[x]
             if node is None:
                 break
             if type(node) is int:
@@ -496,6 +512,40 @@ def test_both_reducers_fire_the_same_rule(shape, p, steps, data):
     rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
     w = glued_word(data, rws)
     assert automaton_hits(rws, w) == trie_walk_hits(rws, w)
+
+
+def reference_transition(rws, word, x):
+    """The automaton's transition from state ``word`` on x, by brute force.
+
+    ~rid when a left side ends word·x, else the longest suffix of
+    word·x that is a proper prefix of a left side.
+    """
+    s = word + bytes([x])
+    for rid, (lhs, _) in rws.rules.items():
+        if s.endswith(lhs):
+            return ~rid
+    prefixes = {lhs[:k] for lhs, _ in rws.rules.values() for k in range(len(lhs))}
+    return next(s[i:] for i in range(len(s) + 1) if s[i:] in prefixes)
+
+
+@given(*small_completion_args, st.data())
+def test_every_cached_transition_matches_a_reference(shape, p, steps, data):
+    # partial and complete systems; counting fills rows letter by letter,
+    # a glued word reaches deep states
+    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+    automaton = rws._reducer()
+    if rws.confluent:
+        group_order(rws, 200)
+    automaton.reduce(glued_word(data, rws), [10**6])
+    width = 2 * rws.arity
+    assert len(automaton._delta) == len(automaton._words)
+    for state, row in enumerate(automaton._delta):
+        assert type(row) is list and len(row) == width
+        for x, t in enumerate(row):
+            if t is None:
+                continue
+            expected = reference_transition(rws, automaton._words[state], x)
+            assert (t if t < 0 else automaton._words[t]) == expected
 
 
 def test_an_insert_drops_the_prefix_automaton():
@@ -816,7 +866,7 @@ def test_the_rules_a_left_side_ends_are_retired_before_its_leaf_goes_in():
     checked_insert(rws, b"\x02\x02\x00", b"")  # bba -> ε
     checked_insert(rws, b"\x00\x00\x00\x00", b"\x02\x02")  # aaaa -> bb
     # the branch of the left sides ending in bb, next to Bb's leaf
-    assert type(rws._trie[2][2]) is dict and type(rws._trie[2][3]) is int
+    assert type(rws._trie[2][2]) is list and type(rws._trie[2][3]) is int
     retired = []
     original = RewriteSystem._retire
 
@@ -825,7 +875,7 @@ def test_the_rules_a_left_side_ends_are_retired_before_its_leaf_goes_in():
         node = self._trie
         for x in lhs[:0:-1]:
             node = node[x]
-            assert type(node) is dict
+            assert type(node) is list
         assert node[lhs[0]] == rid
         retired.append(lhs)
         original(self, rid)
@@ -839,6 +889,24 @@ def test_the_rules_a_left_side_ends_are_retired_before_its_leaf_goes_in():
     # abb, bbb and bba retired; aaaa's right side renormalized
     assert list(rws.rules.values())[4:] == [(b"\x00\x00\x00\x00", b""), (b"\x02\x02", b"")]
     assert_trie_holds_exactly_the_live_rules(rws)
+
+
+def test_retiring_rule_zero_keeps_or_prunes_its_node_by_its_slots():
+    # rule 0 is aA -> ε, a false leaf in A's node: the node is kept while
+    # it holds that leaf and pruned once its slots are all None
+    rws = RewriteSystem(2)  # a = 0, A = 1, b = 2, B = 3
+    checked_insert(rws, b"\x02\x01", b"\x03")  # bA -> B, a sibling of aA
+    checked_insert(rws, b"\x02", b"")  # b -> ε retires bB, Bb and bA
+    assert rws._trie[1] == [0, None, None, None]
+    assert_trie_holds_exactly_the_live_rules(rws)
+    # as initial_rules does for gens: a b / rel: a, before A -> ε goes in
+    checked_insert(rws, b"\x00", b"")  # a -> ε retires aA and Aa
+    assert 0 not in rws.rules and 1 not in rws.rules
+    assert rws._trie[1] is None
+    assert_trie_holds_exactly_the_live_rules(rws)
+    assert_trie_holds_exactly_the_live_rules(
+        initial_rules(parse_presentation("gens: a b\nrel: a\n"))
+    )
 
 
 def test_completed_psl2z_cover_trie_holds_exactly_the_live_rules():
