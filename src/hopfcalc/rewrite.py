@@ -41,12 +41,17 @@ prefixes and its prefixes among the suffixes, without visiting the rules
 it cannot overlap. Only an insert reads the suffix index, so
 ``knuth_bendix`` releases it; the prefix index stays for the automaton.
 
-Critical pairs wait in one FIFO bucket per overlap length, and a pop
-takes the oldest pair of the shortest length queued. That is the order of
-a heap of (length, push number): within one length the push number
-decides, and a bucket holds its pairs in push order. Pushing and popping
-cost O(1), plus a pop's step up from the shortest length that may be
-non-empty, which only falls when a shorter pair is pushed.
+Critical pairs wait in one bucket per overlap length, an ``array("I")``
+of rule ids read from a head index, two ids a pair in push order, and a
+pop takes the oldest pair of the shortest length queued. That is the
+order of a heap of (length, push number): within one length the push
+number decides, and a bucket holds its pairs in push order. A pair
+stores no overlap k: a live rule id's left side never changes, so k is
+|l_i| + |l_j| less the bucket's length, and a pair whose rule has been
+retired is skipped without one. So a queued pair costs 8 bytes, and a
+bucket that its head reaches the end of is emptied and reused. Pushing
+and popping cost O(1), plus a pop's step up from the shortest length
+that may be non-empty, which only falls when a shorter pair is pushed.
 
 Interreduction finds the live rules that a new left side rewrites with
 one substring search of every live left and right side, joined into one
@@ -96,6 +101,7 @@ public API speaks letter tuples.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -127,6 +133,10 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+# letter -> its inverse, x ^ 1, for bytes.translate
+_INVERSE = bytes(x ^ 1 for x in range(256))
+
+
 def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     """Best rewriting rule for a relator, or None for ε.
 
@@ -136,8 +146,17 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     rules the one with the shortlex-smallest left side wins, ties going
     to the smallest (lhs, rhs) pair, which makes the choice independent
     of how the relator was written down.
+
+    The work is done on bytes, so the letters must be below 256, as in
+    any presentation of at most 128 generators; bytes compare like the
+    int tuples they hold.
     """
-    core, _ = words.cyclic_reduce(relator)
+    w = bytes(words.free_reduce(relator))
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] == w[hi - 1] ^ 1:
+        lo += 1
+        hi -= 1
+    core = w[lo:hi]
     if not core:
         return None
     n = len(core)
@@ -146,20 +165,21 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     # and the larger half when n is even; every left side is cut letters
     # long, so the smallest (lhs, rhs) is the shortlex-smallest
     odd = n % 2
-    inv = words.invert(core)
+    twice, twice_inv = core * 2, core[::-1].translate(_INVERSE) * 2
     # core is root^e, so rotation k + |root| is rotation k, of the
-    # inverse too: one period of rotations gives every candidate
-    period = len(words.proper_power_root(core)[0])
+    # inverse too: one period of rotations gives every candidate.  The
+    # first rotation equal to the core is the one by |root|.
+    period = twice.find(core, 1)
     candidates = []
-    for base, base_inv in ((core, inv), (inv, core)):
-        twice, twice_inv = base * 2, base_inv * 2
+    for base, base_inv in ((twice, twice_inv), (twice_inv, twice)):
         for k in range(period):
-            # rotation k of base is twice[k:k + n]; its inverse is
+            # rotation k of base is base[k:k + n]; its inverse is
             # rotation n - k of the inverse
             m = (n - k) % n
-            u, v = twice[k:k + cut], twice_inv[m:m + n - cut]
+            u, v = base[k:k + cut], base_inv[m:m + n - cut]
             candidates.append((u, v) if odd or u > v else (v, u))
-    return min(candidates)
+    lhs, rhs = min(candidates)
+    return tuple(lhs), tuple(rhs)
 
 
 MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
@@ -192,10 +212,13 @@ class RewriteSystem:
         # equations (u, v) that _equation turns into rules: the oriented
         # relators, then the rules that interreduction retires
         self._pending: deque[tuple] = deque()
-        # _pairs[length]: the critical pairs (i, j, k) of that overlap
-        # length, |l_i| + |l_j| - k, in push order; every bucket below
-        # _shortest is empty, and _queued counts them all
-        self._pairs: list[deque[tuple[int, int, int]]] = []
+        # _pairs[length]: the critical pairs (i, j) of that overlap length,
+        # |l_i| + |l_j| - k, as i, j, i, j, ... in push order, the queued
+        # ones from _heads[length] on; a bucket its head reaches the end of
+        # is emptied, every bucket below _shortest is empty, and _queued
+        # counts the queued pairs
+        self._pairs: list[array] = []
+        self._heads: list[int] = []
         self._shortest = 0
         self._queued = 0
         # _SEP join of the live sides in id order, or None until the next
@@ -227,6 +250,11 @@ class RewriteSystem:
         so each length's bucket receives them in the order that scan
         gives and the completion takes the same course.  Interreduction
         runs first, so retired rules are out of the indexes by then.
+        A queued pair is its two rule ids, appended to the bucket of its
+        overlap length |l_i| + |l_j| - k; k itself is not stored (see
+        ``_pop_pair``).  The buckets hold 32-bit unsigned ids, so a rule
+        id of 2^32 or more raises ``OverflowError`` when it is queued,
+        rather than wrapping.
 
         Interreduction touches the live rules with L inside a side.  One
         search of all their sides, joined by ``_SEP`` before the new rule
@@ -302,8 +330,15 @@ class RewriteSystem:
         for other, backwards, k in hits:
             length = n + len(rules[other][0]) - k
             while len(pairs) <= length:
-                pairs.append(deque())
-            pairs[length].append((other, rid, k) if backwards else (rid, other, k))
+                pairs.append(array("I"))
+                self._heads.append(0)
+            bucket = pairs[length]
+            if backwards:
+                bucket.append(other)
+                bucket.append(rid)
+            else:
+                bucket.append(rid)
+                bucket.append(other)
             if length < shortest:
                 shortest = length
         self._shortest = shortest
@@ -311,14 +346,41 @@ class RewriteSystem:
         for index, affix in self._affixes(lhs):
             index.setdefault(affix, []).append(rid)
 
-    def _pop_pair(self) -> tuple[int, int, int]:
-        """Take the oldest queued pair of the shortest overlap length."""
-        pairs, s = self._pairs, self._shortest
-        while not pairs[s]:
-            s += 1
-        self._shortest = s
-        self._queued -= 1
-        return pairs[s].popleft()
+    def _pop_pair(self, max_steps: int) -> tuple[int, int, int] | None:
+        """Take queued pairs, oldest of the shortest length first, up to a live one.
+
+        Each pair taken costs one step.  A pair whose rule has been
+        retired is dead and is skipped, so a run of dead pairs is taken
+        in this one call, and the budget is checked after each.  Returns
+        the first live pair as (i, j, k), k recovered from the lengths of
+        the two left sides, which a live rule id keeps; or None when a
+        dead pair used up the steps or the queue, which then leaves
+        ``knuth_bendix`` to decide whether completion was limited.
+        """
+        pairs, heads, rules = self._pairs, self._heads, self.rules
+        s, queued, steps = self._shortest, self._queued, self.steps
+        found = None
+        while queued:
+            bucket = pairs[s]
+            if not bucket:
+                s += 1
+                continue
+            h = heads[s]
+            i, j = bucket[h], bucket[h + 1]
+            h += 2
+            if h == len(bucket):
+                del bucket[:]
+                h = 0
+            heads[s] = h
+            queued -= 1
+            steps += 1
+            if i in rules and j in rules:
+                found = (i, j, len(rules[i][0]) + len(rules[j][0]) - s)
+                break
+            if steps >= max_steps:
+                break
+        self._shortest, self._queued, self.steps = s, queued, steps
+        return found
 
     def _affixes(self, lhs: bytes):
         """(index, affix) for each proper prefix and proper suffix of lhs."""
@@ -534,23 +596,27 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     Equations queued by interreduction come first, then critical pairs,
     shortest overlap first and oldest first within a length (see
     ``_pop_pair``).  Each popped entry costs one step, and reducing its
-    equation one more.  A pair's equation is reduced in the same pass
-    that pops it, with the lengths of its two irreducible prefixes, r_i
-    and l_i[:-k] (see ``_equation``); no insert comes in between to
-    break that irreducibility.  When the budget runs out between the
-    two steps, completion stops there and the equation is dropped.  A
-    pair of live rules still overlaps, since a rule id's left side never
+    equation one more.  A pair whose rule has been retired is dead: a
+    run of dead pairs is taken in one ``_pop_pair`` call, which charges
+    each its step and checks the budget after each, so a converging
+    completion makes one call per live pair.  A live pair's equation is
+    reduced in the same pass that pops it, with the lengths of its two
+    irreducible prefixes, r_i and l_i[:-k] (see ``_equation``); no
+    insert comes in between to break that irreducibility.  When the
+    budget runs out between the two steps, completion stops there and
+    the equation is dropped.  A pair of live rules still overlaps, and
+    by the k it was queued with, since a rule id's left side never
     changes.
 
     The loop ends with nothing queued unless ``limited`` is set, so the
     system is confluent exactly when it is not limited.  The returned
-    system is finished: the pending equations, the unpopped critical
-    pairs, the interreduction buffer and the suffix index, which only
-    an insert reads, are released, so a later call cannot take up where
-    this one stopped.  Such a call on a limited system changes nothing
-    and still leaves ``confluent`` False, since ``limited`` stays set.
-    A finished system must not be inserted into; the prefix index stays,
-    since the prefix automaton reads it.
+    system is finished: the pending equations, the pair buckets with
+    their unpopped pairs, the interreduction buffer and the suffix
+    index, which only an insert reads, are released, so a later call
+    cannot take up where this one stopped.  Such a call on a limited
+    system changes nothing and still leaves ``confluent`` False, since
+    ``limited`` stays set.  A finished system must not be inserted
+    into; the prefix index stays, since the prefix automaton reads it.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -559,13 +625,13 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
         if rws._pending:
             entry = rws._pending.popleft()
         elif rws._queued:
-            i, j, k = rws._pop_pair()
-            rws.steps += 1
-            if i not in rws.rules or j not in rws.rules:
-                continue
+            pair = rws._pop_pair(budget.max_steps)
             if rws.steps >= budget.max_steps:
                 rws.limited = True
                 break
+            if pair is None:
+                break
+            i, j, k = pair
             li, ri = rws.rules[i]
             lj, rj = rws.rules[j]
             entry = (ri + lj[k:], li[:-k] + rj, len(ri), len(li) - k)
@@ -585,7 +651,8 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
         rws._insert(lhs, rhs)
     rws.confluent = not rws.limited
     rws._pending.clear()
-    rws._pairs, rws._shortest, rws._queued, rws._sides = [], 0, 0, None
+    rws._pairs, rws._heads, rws._shortest, rws._queued = [], [], 0, 0
+    rws._sides = None
     rws._suffixes = {}
     return rws
 

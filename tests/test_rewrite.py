@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import itertools
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -588,13 +589,25 @@ def all_pairs_overlaps(rws, rid):
     return out + overlaps(rid, rid)
 
 
+def queued_ids(bucket):
+    """The (i, j) pairs of a bucket's rule ids, two ids a pair."""
+    return list(zip(bucket[::2], bucket[1::2]))
+
+
 def bucket_tails(rws, sizes):
-    """{length: the entries appended to that bucket since ``sizes``, the bucket sizes, were read}."""
+    """{length: the entries appended to that bucket since ``sizes``, the bucket sizes, were read}.
+
+    A bucket holds no k; each entry is decoded as (i, j, k) with
+    k = |l_i| + |l_j| - length, which needs both rules live.
+    """
     tails = {}
     for length, bucket in enumerate(rws._pairs):
         start = sizes[length] if length < len(sizes) else 0
         if len(bucket) > start:
-            tails[length] = list(bucket)[start:]
+            tails[length] = [
+                (i, j, len(rws.rules[i][0]) + len(rws.rules[j][0]) - length)
+                for i, j in queued_ids(bucket[start:])
+            ]
     return tails
 
 
@@ -638,9 +651,9 @@ def test_overlap_index_pushes_what_an_all_pairs_scan_pushes(shape, p, steps):
 def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, steps):
     pres = small_presentation(shape, p)
     events = []
-    # (buckets, count) as the last insert or pop left them, which is how
-    # knuth_bendix finds them when it releases them: the release rebinds
-    # _pairs, so the list held here keeps the buckets
+    # (buckets, heads, count) as the last insert or pop left them, which
+    # is how knuth_bendix finds them when it releases them: the release
+    # rebinds _pairs and _heads, so the lists held here keep the buckets
     released = []
     insert, pop = RewriteSystem._insert, RewriteSystem._pop_pair
 
@@ -650,30 +663,91 @@ def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, st
         # across lengths the push order cannot change a heap's pops
         for length, tail in sorted(bucket_tails(self, sizes).items()):
             events.extend(("push", length, entry) for entry in tail)
-        released[:] = [self._pairs, self._queued]
+        released[:] = [self._pairs, self._heads, self._queued]
 
-    def logged_pop(self):
-        entry = pop(self)
-        events.append(("pop", None, entry))
-        released[:] = [self._pairs, self._queued]
-        return entry
+    def logged_pop(self, max_steps):
+        queued = [bucket[h:] for bucket, h in zip(self._pairs, self._heads)]
+        steps = self.steps
+        pair = pop(self, max_steps)
+        # no push comes within a pop, so what a bucket holds from its head
+        # on is the end of what it held before, and the rest was consumed
+        taken = [
+            (length, i, j)
+            for length, (before, bucket, h) in enumerate(zip(queued, self._pairs, self._heads))
+            for i, j in queued_ids(before[: len(before) - (len(bucket) - h)])
+        ]
+        # one step a pair taken, and a run of dead pairs stops at the budget
+        assert self.steps - steps == len(taken)
+        assert self.steps <= max_steps
+        assert pair is not None or not self._queued or self.steps == max_steps
+        dead = taken if pair is None else taken[:-1]
+        assert all(i not in self.rules or j not in self.rules for _, i, j in dead)
+        events.append(("pop", taken, pair))
+        released[:] = [self._pairs, self._heads, self._queued]
+        return pair
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RewriteSystem, "_insert", logged_insert)
         mp.setattr(RewriteSystem, "_pop_pair", logged_pop)
         rws = knuth_bendix(initial_rules(pres), Budget(max_steps=steps))
     heap, pushes = [], 0
-    for kind, length, entry in events:
+    for kind, *event in events:
         if kind == "push":
+            length, entry = event
             heapq.heappush(heap, (length, pushes, *entry))
             pushes += 1
         else:
-            assert heapq.heappop(heap)[2:] == entry
-    assert (rws._pairs, rws._queued, rws._sides) == ([], 0, None)
-    pairs, queued = released
+            taken, pair = event
+            # every consumed entry, dead pairs included, is the heap's next
+            popped = [heapq.heappop(heap) for _ in taken]
+            assert [(length, i, j) for length, _, i, j, _ in popped] == taken
+            if pair is not None:
+                assert popped[-1][2:] == pair
+    assert (rws._pairs, rws._heads, rws._queued, rws._sides) == ([], [], 0, None)
+    pairs, heads, queued = released
     assert queued == len(heap)
-    remaining = [(length, *entry) for length, bucket in enumerate(pairs) for entry in bucket]
-    assert remaining == [(length, *entry) for length, _, *entry in sorted(heap)]
+    remaining = [
+        (length, i, j)
+        for length, (bucket, h) in enumerate(zip(pairs, heads))
+        for i, j in queued_ids(bucket[h:])
+    ]
+    assert remaining == [(length, i, j) for length, _, i, j, _ in sorted(heap)]
+
+
+def test_the_queue_keeps_8_bytes_a_pair_and_knuth_bendix_releases_it():
+    pres = build_p_cover(S3, 3)
+    buckets = []
+    pop = RewriteSystem._pop_pair
+
+    def checked_pop(self, max_steps):
+        held = 0
+        for bucket, h in zip(self._pairs, self._heads):
+            assert (bucket.typecode, bucket.itemsize) == ("I", 4)
+            # a bucket whose head reached its end was emptied for reuse
+            assert h < len(bucket) or (h, len(bucket)) == (0, 0)
+            held += (len(bucket) - h) * bucket.itemsize
+        assert held == 8 * self._queued
+        buckets[:] = [weakref.ref(bucket) for bucket in self._pairs]
+        return pop(self, max_steps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_pop_pair", checked_pop)
+        rws = knuth_bendix(initial_rules(pres), Budget(max_steps=3000))
+    assert rws.limited and buckets
+    assert (rws._pairs, rws._heads, rws._queued) == ([], [], 0)
+    assert all(ref() is None for ref in buckets), "a bucket outlived the completion"
+
+
+def test_a_rule_id_of_2_to_the_32_is_refused_when_queued():
+    rws = RewriteSystem(1)  # a = 0, A = 1
+    # aaa overlaps itself and aA, so its insert queues its own id
+    rws._next_id = 2**32 - 1
+    rws._insert(b"\x00\x00\x00", b"\x01")
+    assert max(max(bucket) for bucket in rws._pairs if bucket) == 2**32 - 1
+    rws = RewriteSystem(1)
+    rws._next_id = 2**32
+    with pytest.raises(OverflowError):
+        rws._insert(b"\x00\x00\x00", b"\x01")
 
 
 def test_a_second_completion_of_a_limited_system_is_not_confluent():
