@@ -1,0 +1,134 @@
+"""Leftmost reduction in a fixed rule set, through a prefix automaton.
+
+The rules are a rewriting system's: ``rules`` maps a rule id to its
+(left side, right side), in bytes, one letter per byte, and the left
+sides form an antichain, none inside another.  ``prefixes`` holds the
+proper prefixes of the left sides, as the system's prefix index does.
+
+A state is a proper prefix of a left side, the empty one included,
+numbered in the order first reached, and the state of a word is its
+longest suffix that is such a prefix.  A state's failure state is that
+of itself less its first letter (Aho and Corasick, CACM 18, 1975), fixed
+when the state is numbered.  The transition from s on x is s·x when
+that is a whole left side, a hit, or a proper prefix of one, else that
+from fail(s), and from the empty state the empty state.  A hit is ~rid,
+a negative int, in place of a next state, and the rule is read from
+``rules``, the system's only store of right sides.
+
+A transition is computed on first use and cached in its state's row, a
+list with one slot per letter: ``step`` goes down the failure chain to
+the first known transition and caches each one on the way back up.  So
+a missing transition costs a lookup or two, not a scan of the suffixes
+of s·x, and the chain is kept in a list, not on the call stack, since a
+relator rule can be thousands of letters long.  The rules must not
+change while an automaton is in use; the system drops it when they do.
+"""
+
+from __future__ import annotations
+
+import math
+
+
+class PrefixAutomaton:
+    """The prefix automaton of a fixed rule set, built as it is read."""
+
+    def __init__(
+        self, rules: dict[int, tuple[bytes, bytes]], prefixes: dict[bytes, list[int]], arity: int
+    ):
+        self._prefixes = prefixes
+        self._rules = rules
+        # whole left side -> ~rid; no left side is a state, since a
+        # state is a proper prefix of a left side
+        self._hits = {lhs: ~rid for rid, (lhs, _) in rules.items()}
+        # per state: its word, its failure state and its row, where
+        # _delta[s][x] is the cached transition from s on letter x
+        self._words = [b""]
+        self._fail = [0]
+        self._delta: list[list[int | None]] = [[None] * (2 * arity)]
+
+    def step(self, state: int, x: int) -> int:
+        """The next state from ``state`` on letter ``x``, or ~rid for a hit."""
+        delta = self._delta
+        t = delta[state][x]
+        if t is not None:
+            return t
+        words, fail, hits = self._words, self._fail, self._hits
+        letter = bytes((x,))
+        # the states from ``state`` down its failure chain whose
+        # transition on x is not known; t ends as the transition from the
+        # failure state of the last of them
+        chain = []
+        s = state
+        while True:
+            t = hits.get(words[s] + letter)
+            if t is not None:
+                delta[s][x] = t
+                break
+            chain.append(s)
+            if not s:
+                t = 0
+                break
+            s = fail[s]
+            t = delta[s][x]
+            if t is not None:
+                break
+        for s in reversed(chain):
+            w = words[s] + letter
+            if w in self._prefixes:
+                # a new state; its failure state is the transition from
+                # the failure state of s, never a hit, as no left side
+                # lies inside another
+                fail.append(t)
+                t = len(words)
+                words.append(w)
+                delta.append([None] * len(delta[0]))
+            delta[s][x] = t
+        return t
+
+    def reduce(
+        self, word: bytes, irreducible: int = 0, limit: float = math.inf
+    ) -> tuple[bytes, int] | None:
+        """The normal form of word and the number of rewrites applied.
+
+        Letters move one at a time from ``pending`` to ``out``, which
+        stays irreducible, and ``states[i]`` is the state of the
+        output's first i letters.  A hit drops the left side's letters
+        already in the output, and their states, and puts the right side
+        back onto ``pending``.  The first ``irreducible`` letters of word
+        must contain no left side, so they only move the state.  None
+        when a rewrite past ``limit`` would be needed.
+        """
+        delta, rules, step = self._delta, self._rules, self.step
+        out = bytearray(word[:irreducible])
+        states = [0]
+        state = 0
+        for x in out:
+            t = delta[state][x]
+            if t is None:
+                t = step(state, x)
+            states.append(t)
+            state = t
+        pending = bytearray(word[irreducible:][::-1])
+        applied = 0
+        while pending:
+            x = pending.pop()
+            t = delta[state][x]
+            if t is None:
+                t = step(state, x)
+            if t >= 0:
+                out.append(x)
+                states.append(t)
+                state = t
+            else:
+                lhs, rhs = rules[~t]
+                # cut is 0 for a left side of one letter, so the slices
+                # start at len(), not at -cut
+                cut = len(lhs) - 1
+                del out[len(out) - cut:]
+                del states[len(states) - cut:]
+                state = states[-1]
+                pending += rhs[::-1]
+                applied += 1
+                if applied > limit:
+                    return None
+        return bytes(out), applied

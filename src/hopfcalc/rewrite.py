@@ -10,15 +10,15 @@ proves a word trivial in the presented group, which is all the homology
 pipeline needs from partial systems).
 
 Internally words are bytes objects, one letter per byte, which caps a
-presentation at 128 generators. During completion, rule lookup goes
-through one index: a trie of the left sides read backwards, from the
-last letter to the first.  A node is a list with one slot per letter of
+presentation at 128 generators. Completion keeps one rule index: a
+trie of the left sides read backwards, from the last letter to the
+first.  A node is a list with one slot per letter of
 the alphabet, holding a child node, a rule id or None; a left side's id
 sits in the slot of its first letter, in place of a child, so a walk
 costs one list subscript and one type test per letter.
 ``rules`` is the only store of right sides: the trie and the prefix
-automaton below hold rule ids and read a rule from it. Reduction
-appends one letter at a time and walks the trie back from that letter;
+automaton below hold rule ids and read a rule from it. The trie walk
+appends one letter at a time and walks back from that letter;
 the first rule id on the walk is the shortest left side that is a suffix
 of the output, and that is the rule applied. Shortest suffix first is
 the rule every normal form, step count and rule set depends on.
@@ -62,21 +62,28 @@ one that retires a rule or renormalizes a right side drops it, and the
 next insert joins it afresh, so it always equals the join of the live
 sides in id order.
 
-Two reducers serve two kinds of traffic. Completion changes the rules
-every few reductions, so its ``_nf`` walks the trie, which an insert
-keeps current at the cost of one left side. A finished system, the one
-``knuth_bendix`` returns, is read thousands of times (the spanning
-search, ``normal_form``, element counting), so ``reduce_with_allowance``
-goes through a prefix automaton built from it on first use
-(``_PrefixAutomaton``): its states are the prefixes of the live left
-sides, the state of a word being its longest suffix that is such a
-prefix, and each transition is computed once and then cached in the
-state's row, a list indexed by letter like a trie node, so an appended
-letter costs one subscript, not a walk. A transition that
-completes a left side is a hit and carries the rule's id, and the
-rewrite reads the rule from ``rules`` as ``_nf`` does. ``_insert``, the
-only place the live left sides change, drops the automaton; kept up to
-date inside completion, it would be rebuilt every few reductions.
+Two reducers serve two kinds of traffic. The trie walk needs no setup,
+and an insert keeps the trie current at the cost of one left side. The
+prefix automaton (``automaton.PrefixAutomaton``) reads one cached list
+subscript a letter, but computes each transition on first use, and
+``_insert``, the only place the live left sides change, drops it. Its
+states are the proper prefixes of the live left sides, which the prefix
+index holds, the state of a word being its longest suffix that is such
+a prefix. The transition from state s on letter x is s·x when that is a
+left side (a hit, carrying the rule's id) or a prefix of one, and
+otherwise that from s's failure state, the state of s less its first
+letter (Aho and Corasick), so a missing transition costs a lookup or
+two, not a scan of the suffixes of s·x.
+
+Completion's ``_nf`` walks the trie until the letters walked since the
+last insert reach ``_LETTERS_PER_PREFIX`` times the states the automaton
+can need, the proper prefixes of the live left sides, and then reduces
+through the automaton until the next insert. It is a ski-rental rule:
+the transitions an epoch computes pay for themselves only when it is
+many times longer than the automaton has states. A finished system, the
+one ``knuth_bendix`` returns, is read thousands of times (the spanning
+search, ``normal_form``, element counting) and always goes through the
+automaton.
 
 Both reducers apply the same rewrites. The left sides form an antichain,
 and the output is irreducible. If a left side L is a suffix of output·x,
@@ -85,7 +92,8 @@ longer one would be a prefix of some left side with L as a proper
 substring. And no other left side is a suffix, since one of the two
 would end the other. So the automaton reaches a rule exactly when the
 trie walk meets one, and it is the same rule: every normal form, and
-every rewrite charged, is that of the trie walk.
+every rewrite charged, is that of the trie walk, wherever ``_nf``
+switches.
 
 ``reduce_with_allowance`` takes a freely reduced word, as the spanning
 search builds its test words, and charges only the rewrites it applies
@@ -107,6 +115,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import words
+from .automaton import PrefixAutomaton
 from .presentation import Presentation, render_word
 from .words import Word
 
@@ -121,6 +130,17 @@ class StepLimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class Budget:
+    """Limits on one ``knuth_bendix`` run: live rules, new left sides, steps.
+
+    They bound completion, not the orientation of the relators before
+    it.  ``initial_rules`` installs every relator rule whatever the
+    length of its left side, and charges its rewrites and inserts to
+    ``steps`` with no limit; completion then starts with them spent.
+    So the flagship's 7-cover (SL2Z7Z7_6GEN at p=7) under
+    ``Budget(max_steps=1000)`` reports 55,435 steps, all of them spent
+    orienting its relators, and keeps a left side of 231 letters.
+    """
+
     max_rules: int = 20000
     max_rule_length: int = 64
     max_steps: int = 2_000_000
@@ -184,6 +204,16 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
 
 MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
 
+# _nf's switch to the prefix automaton, in letters walked since the last
+# insert per state the automaton can need.  On the SL2_Z and PSL2_Z
+# covers at p = 5 and 7 (2-vCPU x86-64 VM) a transition cost about 2 us
+# to compute and saved about 0.15 us a letter read, their longest epochs
+# reach 13 letters a state, and switching at one letter a state made the
+# grid-bounded bench 8-10% slower in four alternating runs; the PSL2_Z
+# cover at p = 2 reads most of its letters in epochs of hundreds of
+# letters a state.
+_LETTERS_PER_PREFIX = 16
+
 # joins the live sides for interreduction's one search; with 128
 # generators it is also letter 255, so a match may cross it: a false
 # positive, which the exact per-rule test then rejects
@@ -224,9 +254,11 @@ class RewriteSystem:
         # _SEP join of the live sides in id order, or None until the next
         # insert joins it afresh
         self._sides: bytearray | None = None
-        # reducer of the finished system, built on first use; an insert
-        # drops it
-        self._automaton: _PrefixAutomaton | None = None
+        # the prefix automaton of the live rules, built on first use; an
+        # insert drops it.  _walk_left is the letters the trie walk may
+        # still take before _nf switches to it; an insert sets it
+        self._automaton: PrefixAutomaton | None = None
+        self._walk_left = 0
         self.steps = 0
         self.limited = False
         self.confluent = False
@@ -275,6 +307,10 @@ class RewriteSystem:
         L must contain no live left side; a normal form from
         ``_equation`` or an inverse pair from ``__init__`` never does.
         The prefix automaton is dropped, since the left sides change.
+        L's affixes are indexed, and the letters the trie walk may take
+        before ``_nf`` switches are set from the prefix count, before any
+        right side is renormalized: that ``_nf`` may build the automaton
+        afresh, and it reads the prefix index.
         """
         self._automaton = None
         sides = self._sides
@@ -312,9 +348,6 @@ class RewriteSystem:
             sides += _SEP
             sides += rhs
             self._sides = sides
-        for other in renormalize:
-            l, r = self.rules[other]
-            self.rules[other] = (l, self._nf(r))
         # overlap queue, charged as a scan of the other live rules so
         # that step budgets keep their meaning
         self.steps += 2 * (len(self.rules) - 1)
@@ -345,6 +378,10 @@ class RewriteSystem:
         self._queued += len(hits)
         for index, affix in self._affixes(lhs):
             index.setdefault(affix, []).append(rid)
+        self._walk_left = _LETTERS_PER_PREFIX * len(self._prefixes)
+        for other in renormalize:
+            l, r = self.rules[other]
+            self.rules[other] = (l, self._nf(r))
 
     def _pop_pair(self, max_steps: int) -> tuple[int, int, int] | None:
         """Take queued pairs, oldest of the shortest length first, up to a live one.
@@ -420,23 +457,30 @@ class RewriteSystem:
     def _nf(self, word: bytes, irreducible: int = 0) -> bytes:
         """Completion's leftmost reduction, shortest applicable rule first.
 
-        Letters move one at a time from ``pending`` to ``out``, which
-        stays irreducible. After each append the trie is walked back from
-        the new last letter; the first rule id met is the shortest left
-        side ending there, and it is rewritten at once, its right side
-        going back onto ``pending``.
+        Through the prefix automaton once the letters walked since the
+        last insert, those of each word after its irreducible prefix,
+        reach ``_LETTERS_PER_PREFIX`` times the automaton's possible
+        states (see the module docstring).  Before that by the trie: letters move one at
+        a time from ``pending`` to ``out``, which stays irreducible, and
+        after each append the trie is walked back from the new last
+        letter; the first rule id met, the shortest left side ending
+        there, is rewritten at once, its right side going back onto
+        ``pending``.
 
         The first ``irreducible`` letters of word must contain no left
-        side; they go to ``out`` unwalked, which changes neither the
-        result nor the rewrites charged.
-
-        Each rewrite is charged to the completion's ``steps``.  A
-        finished system is read through ``reduce_with_allowance``.
+        side; the walk puts them out unwalked, which changes neither the
+        result nor the rewrites charged.  Each rewrite is charged to
+        ``steps``.
         """
+        if self._walk_left <= 0:
+            out, applied = self._reducer().reduce(word, irreducible)
+            self.steps += applied
+            return out
         trie = self._trie
         rules = self.rules
         out = bytearray(word[:irreducible])
         pending = bytearray(word[irreducible:][::-1])
+        self._walk_left -= len(pending)
         while pending:
             out.append(pending.pop())
             node = trie
@@ -470,96 +514,11 @@ class RewriteSystem:
             return None
         return (un, vn) if (len(un), un) > (len(vn), vn) else (vn, un)
 
-    def _reducer(self) -> _PrefixAutomaton:
+    def _reducer(self) -> PrefixAutomaton:
         """The prefix automaton of the live rules, built on first use."""
         if self._automaton is None:
-            self._automaton = _PrefixAutomaton(self)
+            self._automaton = PrefixAutomaton(self.rules, self._prefixes, self.arity)
         return self._automaton
-
-
-class _PrefixAutomaton:
-    """Leftmost reduction in a fixed rule set, one cached transition per letter.
-
-    A state is a prefix of a live left side, the empty one included,
-    numbered in the order first reached; the state of a word is its
-    longest suffix that is such a prefix.  The transition from state s
-    on letter x drops letters from the front of s·x until what is left
-    is a proper prefix of a left side (the completion's prefix index
-    holds them) or a whole left side, and is cached in s's row, a list
-    with one slot per letter that is appended when s is numbered.  A
-    whole left side is a hit: ~rid, a negative int, in place of a next
-    state, and the rule is read from the system's ``rules``, the only
-    store of right sides.  The rules must not change while the automaton
-    is in use; ``_insert`` drops it.
-    """
-
-    def __init__(self, rws: RewriteSystem):
-        self._prefixes = rws._prefixes
-        self._rules = rws.rules
-        self._words = [b""]
-        # reached state -> its number; whole left side -> ~rid.  A state
-        # is a proper prefix of a left side, which no left side is.
-        self._ids = {lhs: ~rid for rid, (lhs, _) in rws.rules.items()}
-        self._ids[b""] = 0
-        # _delta[s][x]: the cached transition from state s on letter x
-        self._delta: list[list[int | None]] = [[None] * (2 * rws.arity)]
-
-    def step(self, state: int, x: int) -> int:
-        """The next state from ``state`` on letter ``x``, or ~rid for a hit."""
-        row = self._delta[state]
-        t = row[x]
-        if t is None:
-            s = self._words[state] + bytes((x,))
-            while s:
-                t = self._ids.get(s)
-                if t is not None:
-                    break
-                if s in self._prefixes:
-                    t = self._ids[s] = len(self._words)
-                    self._words.append(s)
-                    self._delta.append([None] * len(row))
-                    break
-                s = s[1:]
-            else:
-                t = 0
-            row[x] = t
-        return t
-
-    def reduce(self, word: bytes, allowance: list[int]) -> bytes:
-        """The normal form of word, one rewrite charged to allowance each.
-
-        ``states[i]`` is the state of the output's first i letters.  A
-        hit drops the left side's letters already in the output, and
-        their states, and puts the right side back onto ``pending``, as
-        ``_nf`` does.
-        """
-        delta, rules = self._delta, self._rules
-        out = bytearray()
-        states = [0]
-        state = 0
-        pending = bytearray(word[::-1])
-        while pending:
-            x = pending.pop()
-            t = delta[state][x]
-            if t is None:
-                t = self.step(state, x)
-            if t >= 0:
-                out.append(x)
-                states.append(t)
-                state = t
-            else:
-                lhs, rhs = rules[~t]
-                # cut is 0 for a left side of one letter, so the slices
-                # start at len(), not at -cut
-                cut = len(lhs) - 1
-                del out[len(out) - cut:]
-                del states[len(states) - cut:]
-                state = states[-1]
-                pending += rhs[::-1]
-                allowance[0] -= 1
-                if allowance[0] < 0:
-                    raise StepLimitExceeded
-        return bytes(out)
 
 
 def initial_rules(pres: Presentation) -> RewriteSystem:
@@ -569,6 +528,12 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
     completion uses, so the returned system is already consistent; its
     confluence flag is only set for the relator-free case, where the
     inverse rules alone are confluent.
+
+    No budget bounds this orientation.  Every relator rule is installed
+    whatever its length, beyond any ``max_rule_length``, and the rewrites
+    and inserts it takes are charged to ``steps`` without a check
+    against any ``max_steps``, so a ``knuth_bendix`` that follows starts
+    with them spent (see ``Budget``).
     """
     rws = RewriteSystem(pres.arity)
     trivial = True
@@ -616,7 +581,9 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     cannot take up where this one stopped.  Such a call on a limited
     system changes nothing and still leaves ``confluent`` False, since
     ``limited`` stays set.  A finished system must not be inserted
-    into; the prefix index stays, since the prefix automaton reads it.
+    into; the prefix index stays, since the prefix automaton reads it,
+    and so does an automaton that ``_nf`` built after the last insert,
+    since it is that of the returned rules.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -690,7 +657,14 @@ def reduce_with_allowance(
             f"letter {max(word)} is outside the alphabet of "
             f"{rws.arity} generators and their inverses"
         )
-    return tuple(rws._reducer().reduce(word, allowance))
+    reduced = rws._reducer().reduce(word, 0, allowance[0])
+    if reduced is None:
+        # it ran dry at the rewrite after the last one it could pay for
+        allowance[0] -= max(allowance[0], 0) + 1
+        raise StepLimitExceeded
+    out, applied = reduced
+    allowance[0] -= applied
+    return tuple(out)
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:

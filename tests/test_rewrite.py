@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import itertools
+import math
 import weakref
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfcalc import words
+from hopfcalc import rewrite, words
 from hopfcalc.hopf import build_p_cover
 from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import (
@@ -301,17 +302,21 @@ def trie_leaves(rws):
 
 
 def assert_both_reducers_match_the_reference(rws, w):
-    """The trie walk (``_nf``) and the prefix automaton give the reference
-    normal form of the freely reduced w, charging its rewrite count."""
+    """The trie walk (``_nf`` before it switches) and the prefix automaton
+    give the reference normal form of the freely reduced w, charging its
+    rewrite count."""
     w = bytes(words.free_reduce(w))
     expected = reference_reduce(rws.rules, w)
-    # _nf charges rws.steps; restore it, since partial_cover() is shared
-    steps = rws.steps
+    # _nf charges rws.steps and counts down rws._walk_left; both are
+    # restored, since partial_cover() is shared.  With _walk_left at inf,
+    # _nf walks the trie.
+    saved = rws.steps, rws._walk_left
+    rws._walk_left = math.inf
     try:
         nf = rws._nf(w)
-        assert (tuple(nf), rws.steps - steps) == expected
+        assert (tuple(nf), rws.steps - saved[0]) == expected
     finally:
-        rws.steps = steps
+        rws.steps, rws._walk_left = saved
     automaton = [10**6]
     assert (reduce_with_allowance(rws, tuple(w), automaton), 10**6 - automaton[0]) == expected
 
@@ -455,11 +460,10 @@ def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
     w = glued_word(data, rws)
     nf, applied = reference_reduce(rws.rules, w)
     automaton = rws._reducer()
-    cell = [applied]
-    assert (tuple(automaton.reduce(w, cell)), cell) == (nf, [0])
-    for allowance in range(applied):
-        with pytest.raises(StepLimitExceeded):
-            automaton.reduce(w, [allowance])
+    assert automaton.reduce(w) == (bytes(nf), applied)
+    assert automaton.reduce(w, 0, applied) == (bytes(nf), applied)
+    for limit in range(applied):
+        assert automaton.reduce(w, 0, limit) is None
 
 
 def automaton_hits(rws, w):
@@ -515,6 +519,12 @@ def test_both_reducers_fire_the_same_rule(shape, p, steps, data):
     assert automaton_hits(rws, w) == trie_walk_hits(rws, w)
 
 
+def reference_state(rws, word):
+    """The longest suffix of word that is a proper prefix of a left side."""
+    prefixes = {lhs[:k] for lhs, _ in rws.rules.values() for k in range(len(lhs))}
+    return next(word[i:] for i in range(len(word) + 1) if word[i:] in prefixes)
+
+
 def reference_transition(rws, word, x):
     """The automaton's transition from state ``word`` on x, by brute force.
 
@@ -525,8 +535,24 @@ def reference_transition(rws, word, x):
     for rid, (lhs, _) in rws.rules.items():
         if s.endswith(lhs):
             return ~rid
-    prefixes = {lhs[:k] for lhs, _ in rws.rules.values() for k in range(len(lhs))}
-    return next(s[i:] for i in range(len(s) + 1) if s[i:] in prefixes)
+    return reference_state(rws, s)
+
+
+def assert_every_cached_transition_matches_a_reference(rws, automaton):
+    """Every row has 2·arity slots, every filled slot is the brute-force
+    transition on ``rws.rules`` as they stand, and every failure state
+    is the state of the word less its first letter."""
+    width = 2 * rws.arity
+    assert len(automaton._delta) == len(automaton._words) == len(automaton._fail)
+    for state, row in enumerate(automaton._delta):
+        word = automaton._words[state]
+        assert automaton._words[automaton._fail[state]] == reference_state(rws, word[1:])
+        assert type(row) is list and len(row) == width
+        for x, t in enumerate(row):
+            if t is None:
+                continue
+            expected = reference_transition(rws, word, x)
+            assert (t if t < 0 else automaton._words[t]) == expected
 
 
 @given(*small_completion_args, st.data())
@@ -537,16 +563,122 @@ def test_every_cached_transition_matches_a_reference(shape, p, steps, data):
     automaton = rws._reducer()
     if rws.confluent:
         group_order(rws, 200)
-    automaton.reduce(glued_word(data, rws), [10**6])
-    width = 2 * rws.arity
-    assert len(automaton._delta) == len(automaton._words)
-    for state, row in enumerate(automaton._delta):
-        assert type(row) is list and len(row) == width
-        for x, t in enumerate(row):
-            if t is None:
-                continue
-            expected = reference_transition(rws, automaton._words[state], x)
-            assert (t if t < 0 else automaton._words[t]) == expected
+    automaton.reduce(glued_word(data, rws))
+    assert_every_cached_transition_matches_a_reference(rws, automaton)
+
+
+def checking_nf(reductions):
+    """A ``_nf`` that, whenever it reduced through a live automaton, checks
+    every cached row of it against the rules as they stand, and logs
+    those calls in ``reductions``."""
+    original = RewriteSystem._nf
+
+    def nf(self, word, irreducible=0):
+        out = original(self, word, irreducible)
+        if self._automaton is not None:
+            assert_every_cached_transition_matches_a_reference(self, self._automaton)
+            reductions.append(len(word))
+        return out
+
+    return nf
+
+
+@pytest.mark.parametrize("letters_per_prefix", [0, rewrite._LETTERS_PER_PREFIX])
+@small_completions
+def test_completion_reduces_through_an_automaton_of_the_current_rules(
+    letters_per_prefix, shape, p, steps
+):
+    # an insert renormalizes right sides after indexing the new left
+    # side's affixes, so an automaton built then, and kept, is not stale;
+    # at 0 letters a prefix every _nf after an insert, the renormalizing
+    # ones included, reduces through the automaton
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_LETTERS_PER_PREFIX", letters_per_prefix)
+        mp.setattr(RewriteSystem, "_nf", checking_nf([]))
+        knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+
+
+@pytest.mark.parametrize(
+    "name, p, budget, steps, rules, confluent, digest",
+    [
+        ("PSL2_Z", 2, Budget(max_steps=100000), 100006, 146, False,
+         "b869fc44c8486348cd5ff9467c0028493139eac9c766de3e71a169ce884a13de"),
+        ("SL2_F3", 3, Budget(), 196580, 132, True,
+         "6e1791ab0945552f246fe2d09e041b47a051f22d65c27f5651c3118df1c27a6f"),
+    ],
+)
+def test_completions_that_switch_to_the_automaton_are_pinned(
+    name, p, budget, steps, rules, confluent, digest
+):
+    # long enough between inserts for _nf to switch to the automaton;
+    # the values are those of a completion that only walks the trie
+    cover = build_p_cover(corpus(name), p)
+    switched = []
+    original = RewriteSystem._reducer
+
+    def reducer(self):
+        switched.append(self.steps)
+        return original(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "_reducer", reducer)
+        rws = knuth_bendix(initial_rules(cover), budget)
+    assert switched, "the automaton branch never ran"
+    assert (rws.steps, len(rws.rules), rws.confluent) == (steps, rules, confluent)
+    text = dump_rules(rws, cover.generators)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_left_sides_thousands_of_letters_long_reduce_without_recursion():
+    # a^6001 orients to a^3001 -> A^3000: 3001 automaton states deep, and
+    # the transition from a^3000 on b goes down a failure chain of 3000
+    rws = initial_rules(parse_presentation("gens: a b\nrel: a^6001\n"))
+    assert (b"\x00" * 3001, b"\x01" * 3000) in rws.rules.values()
+    deep = (0,) * 3000 + (2,)
+    assert normal_form(rws, deep) == deep
+    assert normal_form(rws, (0,) * 6002 + (2,)) == (0, 2)
+    cell = [3001]
+    assert reduce_with_allowance(rws, (0,) * 6001, cell) == ()
+    assert cell == [0]
+    # inside completion: with a and b commuting, the pair of ba -> ab and
+    # a^3001 reduces a·b·a^3000 to a^3001·b, through a^3001.  That pair
+    # comes before the walk has fed enough to switch, so the switch is
+    # set to come at once; the completion must take the course of one
+    # that only walks the trie
+    pres = parse_presentation("gens: a b\nrel: a^6001\nrel: b*a*b^-1*a^-1\n")
+    budget = Budget(max_steps=30000)
+    depths = []
+    original = RewriteSystem._reducer
+
+    def reducer(self):
+        automaton = original(self)
+        depths.append(max(map(len, automaton._words)))
+        return automaton
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_LETTERS_PER_PREFIX", 0)
+        mp.setattr(RewriteSystem, "_reducer", reducer)
+        switched = knuth_bendix(initial_rules(pres), budget)
+    assert max(depths) == 3000
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_LETTERS_PER_PREFIX", math.inf)
+        walked = knuth_bendix(initial_rules(pres), budget)
+    assert (switched.steps, switched.rules) == (walked.steps, walked.rules)
+
+
+def test_a_long_left_side_gives_the_reference_transitions():
+    # the same shape, small enough for the brute-force reference
+    pres = parse_presentation("gens: a b\nrel: a^61\nrel: b*a*b^-1*a^-1\n")
+    reductions = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewrite, "_LETTERS_PER_PREFIX", 0)
+        mp.setattr(RewriteSystem, "_nf", checking_nf(reductions))
+        rws = knuth_bendix(initial_rules(pres), Budget(max_steps=3000))
+    assert reductions, "the automaton branch never ran"
+    automaton = rws._reducer()
+    automaton.reduce(b"\x00" * 30 + b"\x02" + b"\x00" * 61)
+    assert max(map(len, automaton._words)) == 30
+    assert_every_cached_transition_matches_a_reference(rws, automaton)
 
 
 def test_an_insert_drops_the_prefix_automaton():
