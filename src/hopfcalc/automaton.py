@@ -22,11 +22,18 @@ a missing transition costs a lookup or two, not a scan of the suffixes
 of s·x, and the chain is kept in a list, not on the call stack, since a
 relator rule can be thousands of letters long.  The rules must not
 change while an automaton is in use; the system drops it when they do.
+
+``reduce`` can hand back its state at given prefix lengths of a word,
+and start from such a state on another word with the same prefix, so
+words that share a prefix read it once.
 """
 
 from __future__ import annotations
 
 import math
+
+# (output so far, its states, rewrites applied): see PrefixAutomaton.reduce
+Snapshot = tuple[bytes, list[int], int]
 
 
 class PrefixAutomaton:
@@ -86,7 +93,12 @@ class PrefixAutomaton:
         return t
 
     def reduce(
-        self, word: bytes, irreducible: int = 0, limit: float = math.inf
+        self,
+        word: bytes,
+        irreducible: int = 0,
+        limit: float = math.inf,
+        resume: tuple[int, Snapshot] | None = None,
+        marks: dict[int, Snapshot | None] | None = None,
     ) -> tuple[bytes, int] | None:
         """The normal form of word and the number of rewrites applied.
 
@@ -97,38 +109,73 @@ class PrefixAutomaton:
         back onto ``pending``.  The first ``irreducible`` letters of word
         must contain no left side, so they only move the state.  None
         when a rewrite past ``limit`` would be needed.
+
+        A snapshot at prefix length b is (out, states, applied) at the
+        first loop top where ``pending`` holds no more than the letters
+        of word[b:].  It then holds exactly the untouched word[b:]:
+        ``pending`` shrinks one pop at a time, and the letters a hit
+        puts back lie on top, read before any letter below them.  So the
+        snapshot depends on word[:b] alone, and is the same for every
+        word with that prefix.  The loop takes word onto ``pending`` one
+        segment at a time, up to the next mark, and takes the snapshot
+        when ``pending`` runs dry, so a mark costs no test a letter.
+
+        ``resume``, a pair (b, snapshot) taken on a word with the same
+        first b letters, starts there in place of those letters and of
+        ``irreducible``.  Every letter read, rewrite applied and limit
+        checked after it is the fresh reduction's, so the normal form
+        and the count are the same, and a snapshot already past
+        ``limit`` gives None, as the fresh reduction does inside the
+        prefix.  ``marks`` maps prefix lengths from the start on, in
+        ascending order, to None, and each is set to the snapshot there.
         """
         delta, rules, step = self._delta, self._rules, self.step
-        out = bytearray(word[:irreducible])
-        states = [0]
-        state = 0
-        for x in out:
-            t = delta[state][x]
-            if t is None:
-                t = step(state, x)
-            states.append(t)
-            state = t
-        pending = bytearray(word[irreducible:][::-1])
-        applied = 0
-        while pending:
-            x = pending.pop()
-            t = delta[state][x]
-            if t is None:
-                t = step(state, x)
-            if t >= 0:
-                out.append(x)
+        if resume is None:
+            start = irreducible
+            out = bytearray(word[:start])
+            states = [0]
+            state = 0
+            for x in out:
+                t = delta[state][x]
+                if t is None:
+                    t = step(state, x)
                 states.append(t)
                 state = t
-            else:
-                lhs, rhs = rules[~t]
-                # cut is 0 for a left side of one letter, so the slices
-                # start at len(), not at -cut
-                cut = len(lhs) - 1
-                del out[len(out) - cut:]
-                del states[len(states) - cut:]
-                state = states[-1]
-                pending += rhs[::-1]
-                applied += 1
-                if applied > limit:
-                    return None
+            applied = 0
+        else:
+            start, (prefix, prefix_states, applied) = resume
+            # the check the prefix's last rewrite made; with no rewrite
+            # there was none, whatever the limit
+            if applied and applied > limit:
+                return None
+            out = bytearray(prefix)
+            states = list(prefix_states)
+            state = states[-1]
+        for stop in (len(word),) if marks is None else (*marks, len(word)):
+            pending = bytearray(word[start:stop])
+            pending.reverse()
+            while pending:
+                x = pending.pop()
+                t = delta[state][x]
+                if t is None:
+                    t = step(state, x)
+                if t >= 0:
+                    out.append(x)
+                    states.append(t)
+                    state = t
+                else:
+                    lhs, rhs = rules[~t]
+                    # cut is 0 for a left side of one letter, so the slices
+                    # start at len(), not at -cut
+                    cut = len(lhs) - 1
+                    del out[len(out) - cut:]
+                    del states[len(states) - cut:]
+                    state = states[-1]
+                    pending += rhs[::-1]
+                    applied += 1
+                    if applied > limit:
+                        return None
+            if marks is not None and stop in marks:
+                marks[stop] = (bytes(out), states.copy(), applied)
+            start = stop
         return bytes(out), applied

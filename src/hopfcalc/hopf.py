@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import fplinalg, words
+from .automaton import Snapshot
 from .presentation import Presentation, render_word, simplify
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -185,6 +186,19 @@ def _byte_pieces(spanning: Sequence[Word]) -> tuple[list[bytes], list[bytes]]:
     return [bytes(w) for w in spanning], [bytes(words.invert(w)) for w in spanning]
 
 
+def _join(word: bytes, piece: bytes) -> bytes:
+    """word times piece, freely reduced.
+
+    Both are freely reduced, so they cancel only at the seam: the
+    word's tail against the piece's head.
+    """
+    k = 0
+    n = min(len(word), len(piece))
+    while k < n and word[-1 - k] ^ 1 == piece[k]:
+        k += 1
+    return word[: len(word) - k] + piece[k:]
+
+
 def _test_word(
     members: Sequence[bytes],
     inverses: Sequence[bytes],
@@ -193,22 +207,72 @@ def _test_word(
 ) -> bytes:
     """inverse(removed member) times the factor product, freely reduced.
 
-    The members are freely reduced, so each piece cancels against the
-    word built so far only at the seam: the word's tail against the
-    piece's head.  A free reduction's result is unique, so the word
-    equals ``words.concat`` of the same pieces.
+    The pieces are joined one at a time.  A free reduction's result is
+    unique, so the word equals ``words.concat`` of the same pieces.
     """
-    out = bytearray(inverses[ridx])
+    out = inverses[ridx]
     for m, e in factors:
         piece = members[m] if e >= 0 else inverses[m]
         for _ in range(abs(e)):
-            k = 0
-            n = min(len(out), len(piece))
-            while k < n and out[-1 - k] ^ 1 == piece[k]:
-                k += 1
-            del out[len(out) - k:]
-            out += piece[k:]
-    return bytes(out)
+            out = _join(out, piece)
+    return out
+
+
+class _Prefix:
+    """inverse(removed member) times some factor copies, a node of the search's memo.
+
+    ``word`` is their free reduction, and ``snapshot`` the reducer's
+    state once it has read ``word``, taken when a test word with that
+    prefix is reduced.  ``children`` holds the nodes one copy longer,
+    keyed by the copy's piece (a member, or a member's inverse), all of
+    them copies of one ``member``: a copy of another member replaces
+    them.
+    """
+
+    __slots__ = ("word", "snapshot", "member", "children")
+
+    def __init__(self, word: bytes):
+        self.word = word
+        self.snapshot: Snapshot | None = None
+        self.member: int | None = None
+        self.children: dict[bytes, _Prefix] = {}
+
+    def extend(self, member: int, piece: bytes) -> _Prefix:
+        """The node one copy of ``piece``, member or its inverse, longer."""
+        if self.member != member:
+            self.member, self.children = member, {}
+        child = self.children.get(piece)
+        if child is None:
+            child = self.children[piece] = _Prefix(_join(self.word, piece))
+        return child
+
+
+def _reduce_path(cover: RewriteSystem, path: list[_Prefix], allowance: list[int]) -> Word:
+    """Normal form of the test word, the last node's, resumed from the memo.
+
+    Going up the path, a node is taken when its word is a prefix of the
+    test word no longer than the last one taken: a later copy can cancel
+    into a node's word, and so can leave a longer word earlier on the
+    path.  The reduction resumes from the first node taken that has a
+    snapshot, and takes one for each node taken on the way up to it, in
+    ascending order of length as ``PrefixAutomaton.reduce`` reads them.
+    """
+    test = path[-1].word
+    resume = None
+    todo = []
+    b = len(test)
+    for node in reversed(path):
+        if len(node.word) <= b and test.startswith(node.word):
+            b = len(node.word)
+            if node.snapshot is not None:
+                resume = (b, node.snapshot)
+                break
+            todo.append(node)
+    marks = dict.fromkeys(len(node.word) for node in reversed(todo))
+    nf = reduce_with_allowance(cover, test, allowance, resume, marks)
+    for node in todo:
+        node.snapshot = marks[len(node.word)]
+    return nf
 
 
 def _products(target, others, rows, p):
@@ -267,6 +331,24 @@ def _reduce_spanning(
     same factor lists and test words.  The cover system is finished, so
     each of those words has the non-empty normal form it had in this
     pass, and a second pass would remove nothing.
+
+    A shared prefix is reduced once.  The test words for a removed
+    member R are inverse(R)·m1^e1·m2^e2, and ``_products`` repeats the
+    prefixes inverse(R), inverse(R)·m1^c and inverse(R)·m1^e1·m2^c many
+    times.  One memo per removed member, a tree of ``_Prefix`` nodes,
+    has a node at the end of inverse(R) and after each factor copy,
+    with the prefix's free reduction and, once reduced, the reducer's
+    snapshot there (see ``PrefixAutomaton.reduce``): its output, states
+    and rewrite count once it has read the prefix and nothing after it.
+    ``_reduce_path`` resumes from the longest prefix with a snapshot,
+    passing over a node that a later seam cancels into, and takes
+    snapshots at the prefixes after it.  A snapshot depends on its
+    prefix alone, so every normal form and every charge, the allowance
+    running dry included, are those of reducing each test word from
+    scratch, and so are the removals, ``steps`` and ``exhausted``.  A
+    node keeps the children of one member only, so the memo holds
+    inverse(R), the copies of the current m1 and, under the current two
+    lifts of its residue, those of the current m2.
     """
     members, inverses = _byte_pieces(spanning)
     live = list(range(len(spanning)))
@@ -276,13 +358,17 @@ def _reduce_spanning(
     try:
         for ridx in range(len(spanning)):
             others = [m for m in live if m != ridx]
+            root = _Prefix(inverses[ridx])
             for factors in _products(rows[ridx], others, rows, p):
-                test = _test_word(members, inverses, ridx, factors)
-                if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+                path = [root]
+                for m, e in factors:
+                    piece = members[m] if e >= 0 else inverses[m]
+                    for _ in range(abs(e)):
+                        path.append(path[-1].extend(m, piece))
+                if _reduce_path(cover, path, cell) == words.EMPTY:
                     live.remove(ridx)
-                    certs.append(
-                        RemovalCertificate(ridx, spanning[ridx], factors, tuple(test))
-                    )
+                    test = tuple(path[-1].word)
+                    certs.append(RemovalCertificate(ridx, spanning[ridx], factors, test))
                     break
     except StepLimitExceeded:
         exhausted = True

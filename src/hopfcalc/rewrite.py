@@ -98,7 +98,11 @@ switches.
 ``reduce_with_allowance`` takes a freely reduced word, as the spanning
 search builds its test words, and charges only the rewrites it applies
 to the search's step allowance; ``normal_form`` takes any word, freely
-reduces it first and reduces it with no limit.
+reduces it first and reduces it with no limit.  The search's test words
+share prefixes, and ``reduce_with_allowance`` can resume from a
+snapshot taken once the reducer has read a prefix and nothing after it.
+A snapshot depends on its prefix alone, so the normal form, the charge
+and the point where an allowance runs dry are a fresh reduction's.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -115,7 +119,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import words
-from .automaton import PrefixAutomaton
+from .automaton import PrefixAutomaton, Snapshot
 from .presentation import Presentation, render_word
 from .words import Word
 
@@ -634,7 +638,11 @@ def normal_form(rws: RewriteSystem, word: Word) -> Word:
 
 
 def reduce_with_allowance(
-    rws: RewriteSystem, word: Word | bytes, allowance: list[int]
+    rws: RewriteSystem,
+    word: Word | bytes,
+    allowance: list[int],
+    resume: tuple[int, Snapshot] | None = None,
+    marks: dict[int, Snapshot | None] | None = None,
 ) -> Word:
     """Normal form of a freely reduced word, charged against a caller-owned allowance.
 
@@ -650,6 +658,12 @@ def reduce_with_allowance(
     completion's trie walk would (see the module docstring), so the
     result and the charge are the same.  A letter outside the system's
     alphabet, 2 * arity or more, is a ValueError.
+
+    ``resume``, a pair (b, snapshot) taken on a word with the same first
+    b letters, and ``marks``, the prefix lengths to take snapshots at,
+    go to ``PrefixAutomaton.reduce``.  A snapshot depends on the first b
+    letters alone, so a resumed reduction gives a fresh one's normal
+    form and charge, and raises where it would.
     """
     word = bytes(word)
     if word and max(word) >= 2 * rws.arity:
@@ -657,7 +671,7 @@ def reduce_with_allowance(
             f"letter {max(word)} is outside the alphabet of "
             f"{rws.arity} generators and their inverses"
         )
-    reduced = rws._reducer().reduce(word, 0, allowance[0])
+    reduced = rws._reducer().reduce(word, 0, allowance[0], resume, marks)
     if reduced is None:
         # it ran dry at the rewrite after the last one it could pay for
         allowance[0] -= max(allowance[0], 0) + 1

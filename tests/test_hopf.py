@@ -20,7 +20,7 @@ from hopfcalc.hopf import (
     run_pipeline,
     to_json,
 )
-from hopfcalc.presentation import corpus, corpus_names, parse_presentation
+from hopfcalc.presentation import Presentation, corpus, corpus_names, parse_presentation
 from hopfcalc.rewrite import (
     Budget,
     StepLimitExceeded,
@@ -292,39 +292,43 @@ def test_zero_h2_is_exact():
             assert res.h2_kind is BoundKind.EXACT, (pres.name, p)
 
 
-def fixed_point_search(spanning, rows, cover, p, budget):
-    """The spanning search in passes until one removes nothing, as a reference.
+def reference_pass(spanning, rows, cover, p, live, certs, cell):
+    """One pass of the spanning search, each test word reduced alone, as a reference.
+
+    Removes from ``live`` and appends to ``certs`` in place;
+    StepLimitExceeded ends it.
+    """
+    members, inverses = hopf._byte_pieces(spanning)
+    for ridx in list(live):
+        others = [m for m in live if m != ridx]
+        for factors in hopf._products(rows[ridx], others, rows, p):
+            test = hopf._test_word(members, inverses, ridx, factors)
+            if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+                live.remove(ridx)
+                certs.append(
+                    hopf.RemovalCertificate(ridx, spanning[ridx], factors, tuple(test))
+                )
+                break
+
+
+def reference_search(spanning, rows, cover, p, budget, passes=1):
+    """The spanning search in passes, up to ``passes`` or one that removes nothing.
 
     Returns the live indices, the certificates, the steps spent, whether
     the allowance ran dry, and the number of removals in each pass.
     """
-    members, inverses = hopf._byte_pieces(spanning)
     live = list(range(len(spanning)))
     certs = []
-    removed = []
+    starts = []
     cell = [budget.max_steps]
     exhausted = False
     try:
-        changed = True
-        while changed:
-            changed = False
-            removed.append(0)
-            for ridx in list(live):
-                others = [m for m in live if m != ridx]
-                for factors in hopf._products(rows[ridx], others, rows, p):
-                    test = hopf._test_word(members, inverses, ridx, factors)
-                    if reduce_with_allowance(cover, test, cell) == words.EMPTY:
-                        live.remove(ridx)
-                        certs.append(
-                            hopf.RemovalCertificate(
-                                ridx, spanning[ridx], factors, tuple(test)
-                            )
-                        )
-                        removed[-1] += 1
-                        changed = True
-                        break
+        while len(starts) < passes and (not starts or len(certs) > starts[-1]):
+            starts.append(len(certs))
+            reference_pass(spanning, rows, cover, p, live, certs, cell)
     except StepLimitExceeded:
         exhausted = True
+    removed = [b - a for a, b in zip(starts, starts[1:] + [len(certs)])]
     return live, certs, budget.max_steps - max(cell[0], 0), exhausted, removed
 
 
@@ -338,10 +342,12 @@ def test_one_pass_search_reaches_the_fixed_point():
             for r in spanning
         ]
         live, certs, report = hopf._reduce_spanning(spanning, rows, cover, p, budget)
-        ref_live, ref_certs, ref_steps, ref_exhausted, removed = fixed_point_search(
-            spanning, rows, cover, p, budget
+        ref_live, ref_certs, ref_steps, ref_exhausted, removed = reference_search(
+            spanning, rows, cover, p, budget, passes=len(spanning) + 1
         )
         cell = (pres.name, p)
+        one_pass = reference_search(spanning, rows, cover, p, budget)[:4]
+        assert (live, certs, report["steps"], report["exhausted"]) == one_pass, cell
         assert (live, certs) == (ref_live, ref_certs), cell
         assert report["steps"] <= ref_steps, cell
         assert report["exhausted"] <= ref_exhausted, cell
@@ -385,15 +391,41 @@ def test_test_word_matches_one_free_reduction_of_the_product(data):
     assert hopf._test_word(members, inverses, ridx, [(ridx, 1)]) == b""
 
 
+@given(st.data())
+def test_memoized_search_equals_reducing_each_test_word_alone(data):
+    # a*b*a^-1 cancels at its seams into memoized prefixes, a small
+    # completion budget leaves the cover non-confluent, and a small
+    # allowance runs out inside a memoized prefix
+    relators = data.draw(st.lists(reduced_words, min_size=1, max_size=3))
+    spanning = list(SPECIAL_MEMBERS) + relators
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    # a cover that kills every member removes them fast; one that kills
+    # the drawn ones only leaves long searches
+    killed = spanning if data.draw(st.booleans()) else relators
+    pres = Presentation(("a", "b", "c"), tuple(killed))
+    cover_steps = data.draw(st.integers(min_value=50, max_value=2000))
+    cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), Budget(max_steps=cover_steps))
+    rows = [tuple(e % p for e in words.exponent_vector(r, 3)) for r in spanning]
+    spent = reference_search(spanning, rows, cover, p, Budget(max_steps=10**6))[2]
+    # every allowance up to the steps the whole search spends, thinned
+    # out on the longer searches
+    for allowance in range(1, spent + 2, 1 + spent // 60):
+        budget = Budget(max_steps=allowance)
+        live, certs, report = hopf._reduce_spanning(spanning, rows, cover, p, budget)
+        assert (live, certs, report["steps"], report["exhausted"]) == reference_search(
+            spanning, rows, cover, p, budget
+        )[:4]
+
+
 def test_flagship_search_reduces_each_candidate_once(monkeypatch):
     # one call through hopf's module global per candidate, each on a
     # freely reduced word; the counts are those of BENCH_12.json
     seen = []
     reduce = hopf.reduce_with_allowance
 
-    def counting(rws, word, allowance):
+    def counting(rws, word, allowance, *snapshots):
         seen.append(bytes(word) == bytes(words.free_reduce(word)))
-        return reduce(rws, word, allowance)
+        return reduce(rws, word, allowance, *snapshots)
 
     monkeypatch.setattr(hopf, "reduce_with_allowance", counting)
     res = run_pipeline(corpus("SL2Z7Z7_6GEN"), 7, Budget(max_steps=30_000))

@@ -466,6 +466,32 @@ def test_prefix_automaton_applies_the_reference_rewrites(shape, p, steps, data):
         assert automaton.reduce(w, 0, limit) is None
 
 
+@given(*small_completion_args, st.data())
+def test_prefix_automaton_resumes_from_every_snapshot(shape, p, steps, data):
+    # partial and complete systems; a snapshot at b is taken from w and
+    # resumed on w and on v, a word with the same first b letters
+    rws = knuth_bendix(initial_rules(small_presentation(shape, p)), Budget(max_steps=steps))
+    automaton = rws._reducer()
+    w = glued_word(data, rws)
+    tail = glued_word(data, rws)
+    fresh = automaton.reduce(w)
+    marks = dict.fromkeys(range(len(w) + 1))
+    assert automaton.reduce(w, marks=marks) == fresh
+    for b, snapshot in marks.items():
+        v = w[:b] + tail
+        alone = {b: None}
+        assert automaton.reduce(v, marks=alone) == automaton.reduce(v)
+        assert alone[b] == snapshot
+        assert automaton.reduce(w, resume=(b, snapshot)) == fresh
+        assert automaton.reduce(v, resume=(b, snapshot)) == automaton.reduce(v)
+        # a limit below the prefix's rewrites runs out inside the prefix
+        prefix_applied, applied = snapshot[2], fresh[1]
+        for limit in {-1, prefix_applied - 1, prefix_applied, applied - 1, applied}:
+            assert automaton.reduce(w, 0, limit, (b, snapshot)) == automaton.reduce(
+                w, 0, limit
+            )
+
+
 def automaton_hits(rws, w):
     """(normal form, ids of the rules applied in order), by the prefix automaton's ``step``."""
     step = rws._reducer().step
