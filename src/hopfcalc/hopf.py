@@ -64,9 +64,12 @@ class RemovalCertificate:
     The removed word equals the product of the recorded factors in the
     cover group, so its image lies in the span of the survivors.
     ``factors`` holds (index, exponent) pairs over the original spanning
-    list; ``test_word`` is inverse(removed word) times the factor
-    product, whose cover normal form was the empty word when the
-    certificate was issued.  ``replay_certificate`` rechecks all of it.
+    list, each naming a member live when the certificate was issued,
+    never the removed one; ``test_word`` is inverse(removed word) times
+    the factor product, freely reduced, whose cover normal form was the
+    empty word when the certificate was issued.  ``replay_certificate``
+    rebuilds the test word from that definition and rechecks all of it
+    but liveness, which depends on the certificates issued before.
     """
 
     removed_index: int
@@ -181,11 +184,6 @@ def _scale_row(row: tuple[int, ...], e: int, p: int) -> tuple[int, ...]:
     return tuple((e * x) % p for x in row)
 
 
-def _byte_pieces(spanning: Sequence[Word]) -> tuple[list[bytes], list[bytes]]:
-    """Each spanning member, and its inverse, as bytes: one letter a byte."""
-    return [bytes(w) for w in spanning], [bytes(words.invert(w)) for w in spanning]
-
-
 def _join(word: bytes, piece: bytes) -> bytes:
     """word times piece, freely reduced.
 
@@ -197,25 +195,6 @@ def _join(word: bytes, piece: bytes) -> bytes:
     while k < n and word[-1 - k] ^ 1 == piece[k]:
         k += 1
     return word[: len(word) - k] + piece[k:]
-
-
-def _test_word(
-    members: Sequence[bytes],
-    inverses: Sequence[bytes],
-    ridx: int,
-    factors: Sequence[tuple[int, int]],
-) -> bytes:
-    """inverse(removed member) times the factor product, freely reduced.
-
-    The pieces are joined one at a time.  A free reduction's result is
-    unique, so the word equals ``words.concat`` of the same pieces.
-    """
-    out = inverses[ridx]
-    for m, e in factors:
-        piece = members[m] if e >= 0 else inverses[m]
-        for _ in range(abs(e)):
-            out = _join(out, piece)
-    return out
 
 
 class _Prefix:
@@ -322,8 +301,10 @@ def _reduce_spanning(
     whose test word has cover normal form ε removes the member, all
     normal forms charged against one shared step allowance.  Every
     removal is recorded as a replayable certificate.  Test words are
-    built in bytes from the members and their inverses, converted once
-    per search, and reach the reducer freely reduced, as it requires.
+    built in bytes by ``_join``, from the members and their inverses
+    converted once per search, and reach the reducer freely reduced, as
+    it requires; ``replay_certificate`` rebuilds them through ``words``
+    instead.
 
     One pass is the fixed point.  Live members only leave, so a second
     pass would try each survivor against a subset of the members it was
@@ -350,7 +331,8 @@ def _reduce_spanning(
     inverse(R), the copies of the current m1 and, under the current two
     lifts of its residue, those of the current m2.
     """
-    members, inverses = _byte_pieces(spanning)
+    members = [bytes(w) for w in spanning]
+    inverses = [bytes(words.invert(w)) for w in spanning]
     live = list(range(len(spanning)))
     certs: list[RemovalCertificate] = []
     cell = [budget.max_steps]
@@ -381,10 +363,23 @@ def _reduce_spanning(
 def replay_certificate(
     cert: RemovalCertificate, spanning: Sequence[Word], cover: RewriteSystem
 ) -> bool:
-    """Recheck a removal certificate from scratch against the cover system."""
-    if cert.removed_word != spanning[cert.removed_index]:
+    """Recheck a removal certificate from scratch against the cover system.
+
+    The test word is rebuilt from its definition by ``words``, not by the
+    search's byte joins, so replay shares only ``normal_form`` with the
+    search.  Each factor must name another member of ``spanning``: a
+    factor naming the removed member makes the product trivially its
+    own, which proves nothing.
+    """
+    ridx, n = cert.removed_index, len(spanning)
+    if not 0 <= ridx < n or cert.removed_word != spanning[ridx]:
         return False
-    test = tuple(_test_word(*_byte_pieces(spanning), cert.removed_index, cert.factors))
+    if any(not 0 <= m < n or m == ridx for m, _ in cert.factors):
+        return False
+    test = words.concat(
+        words.invert(spanning[ridx]),
+        *(words.power(spanning[m], e) for m, e in cert.factors),
+    )
     if test != cert.test_word:
         return False
     return normal_form(cover, test) == words.EMPTY

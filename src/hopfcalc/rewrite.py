@@ -175,12 +175,7 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
     any presentation of at most 128 generators; bytes compare like the
     int tuples they hold.
     """
-    w = bytes(words.free_reduce(relator))
-    lo, hi = 0, len(w)
-    while hi - lo >= 2 and w[lo] == w[hi - 1] ^ 1:
-        lo += 1
-        hi -= 1
-    core = w[lo:hi]
+    core = bytes(words.cyclic_reduce(relator)[0])
     if not core:
         return None
     n = len(core)

@@ -72,11 +72,11 @@ def cyclic_reduce(word: Sequence[int]) -> tuple[Word, Word]:
     and ``core`` cyclically reduced.
     """
     w = free_reduce(word)
-    conj: list[int] = []
-    while len(w) >= 2 and w[0] == w[-1] ^ 1:
-        conj.insert(0, w[-1])
-        w = w[1:-1]
-    return w, tuple(conj)
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] == w[hi - 1] ^ 1:
+        lo += 1
+        hi -= 1
+    return w[lo:hi], w[hi:]
 
 
 def cyclic_rotations(word: Sequence[int]) -> list[Word]:

@@ -195,6 +195,16 @@ def test_certificates_replay():
     assert replay_certificate(cert, list(pres.relators), cover)
     forged = dataclasses.replace(cert, factors=((0, 1),) * len(cert.factors))
     assert not replay_certificate(forged, list(pres.relators), cover)
+    # inverse(R0)·R0 is ε: a factor naming the removed member proves nothing
+    r0 = pres.relators[0]
+    assert not replay_certificate(
+        hopf.RemovalCertificate(0, r0, ((0, 1),), ()), list(pres.relators), cover
+    )
+    n = len(pres.relators)
+    out_of_range = dataclasses.replace(cert, factors=((n, 1),))
+    assert not replay_certificate(out_of_range, list(pres.relators), cover)
+    removed_out_of_range = dataclasses.replace(cert, removed_index=n)
+    assert not replay_certificate(removed_out_of_range, list(pres.relators), cover)
 
 
 def test_reduction_never_changes_h1_or_rank():
@@ -298,11 +308,10 @@ def reference_pass(spanning, rows, cover, p, live, certs, cell):
     Removes from ``live`` and appends to ``certs`` in place;
     StepLimitExceeded ends it.
     """
-    members, inverses = hopf._byte_pieces(spanning)
     for ridx in list(live):
         others = [m for m in live if m != ridx]
         for factors in hopf._products(rows[ridx], others, rows, p):
-            test = hopf._test_word(members, inverses, ridx, factors)
+            test = product_by_concat(spanning, ridx, factors)
             if reduce_with_allowance(cover, test, cell) == words.EMPTY:
                 live.remove(ridx)
                 certs.append(
@@ -333,7 +342,7 @@ def reference_search(spanning, rows, cover, p, budget, passes=1):
 
 
 def test_one_pass_search_reaches_the_fixed_point():
-    second_passes = cheaper = 0
+    second_passes = cheaper = issued = 0
     for pres, p, budget in pinned_cells():
         cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
         spanning = list(pres.relators)
@@ -354,9 +363,18 @@ def test_one_pass_search_reaches_the_fixed_point():
         assert not any(removed[1:]), cell
         second_passes += len(removed) > 1
         cheaper += report["steps"] < ref_steps
+        # every certificate replays and cites only members live when it
+        # was issued, so no removal rests on another: they form no cycle
+        alive = set(range(len(spanning)))
+        for cert in certs:
+            assert replay_certificate(cert, spanning, cover), cell
+            alive.remove(cert.removed_index)
+            assert all(m in alive for m, _ in cert.factors), cell
+        issued += len(certs)
     # the cells whose search_passes fell from 2 to 1, and those of them
     # whose search_steps fell
     assert (second_passes, cheaper) == (10, 7)
+    assert issued == 10
 
 
 # freely reduced words over three generators (letters 0..5)
@@ -374,7 +392,7 @@ def product_by_concat(spanning, ridx, factors):
 
 
 @given(st.data())
-def test_test_word_matches_one_free_reduction_of_the_product(data):
+def test_memo_word_matches_one_free_reduction_of_the_product(data):
     spanning = list(SPECIAL_MEMBERS) + data.draw(st.lists(reduced_words, max_size=4))
     p = data.draw(st.sampled_from((2, 3, 5, 7)))
     exponent = st.integers(min_value=1, max_value=p).flatmap(
@@ -383,16 +401,23 @@ def test_test_word_matches_one_free_reduction_of_the_product(data):
     index = st.integers(min_value=0, max_value=len(spanning) - 1)
     ridx = data.draw(index)
     factors = data.draw(st.lists(st.tuples(index, exponent), max_size=3))
-    members, inverses = hopf._byte_pieces(spanning)
-    assert hopf._test_word(members, inverses, ridx, factors) == product_by_concat(
-        spanning, ridx, factors
-    )
+
+    def memo_word(factors):
+        # the search's memo, the only builder of test words it reduces
+        node = hopf._Prefix(bytes(words.invert(spanning[ridx])))
+        for m, e in factors:
+            piece = bytes(words.power(spanning[m], 1 if e > 0 else -1))
+            for _ in range(abs(e)):
+                node = node.extend(m, piece)
+        return node.word
+
+    assert memo_word(factors) == product_by_concat(spanning, ridx, factors)
     # the removed member itself: the product cancels to the empty word
-    assert hopf._test_word(members, inverses, ridx, [(ridx, 1)]) == b""
+    assert memo_word([(ridx, 1)]) == b""
 
 
 @given(st.data())
-def test_memoized_search_equals_reducing_each_test_word_alone(data):
+def test_memoized_search_equals_reducing_each_candidate_alone(data):
     # a*b*a^-1 cancels at its seams into memoized prefixes, a small
     # completion budget leaves the cover non-confluent, and a small
     # allowance runs out inside a memoized prefix

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import ast
+from pathlib import Path
+
 import hopfcalc
 
 PUBLIC = {
@@ -58,3 +61,19 @@ def test_public_names_resolve_and_match_the_list():
     assert set(hopfcalc.__all__) == PUBLIC
     for name in hopfcalc.__all__:
         assert hasattr(hopfcalc, name), name
+
+
+def test_no_module_imports_a_private_name():
+    # each module reaches another only through its public names
+    found = []
+    for path in sorted(Path(hopfcalc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("hopfcalc")
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []
