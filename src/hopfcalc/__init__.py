@@ -16,7 +16,7 @@ from .hopf import (
     build_p_cover,
     h1_dimension,
     image_matrix,
-    replay_certificate,
+    replay_certificates,
     run_pipeline,
     to_json,
 )
@@ -41,7 +41,6 @@ from .rewrite import (
     Budget,
     Overflow,
     RewriteSystem,
-    StepLimitExceeded,
     dump_rules,
     enumerate_elements,
     group_order,
@@ -68,7 +67,6 @@ __all__ = [
     "Presentation",
     "RemovalCertificate",
     "RewriteSystem",
-    "StepLimitExceeded",
     "SubstitutionMap",
     "apply_substitution",
     "as_fp",
@@ -97,7 +95,7 @@ __all__ = [
     "reduce_with_allowance",
     "render_presentation",
     "render_word",
-    "replay_certificate",
+    "replay_certificates",
     "rref",
     "run_pipeline",
     "simplify",

@@ -37,7 +37,6 @@ from .rewrite import (
     DEFAULT_BUDGET,
     Budget,
     RewriteSystem,
-    StepLimitExceeded,
     group_order,
     initial_rules,
     knuth_bendix,
@@ -67,9 +66,9 @@ class RemovalCertificate:
     list, each naming a member live when the certificate was issued,
     never the removed one; ``test_word`` is inverse(removed word) times
     the factor product, freely reduced, whose cover normal form was the
-    empty word when the certificate was issued.  ``replay_certificate``
-    rebuilds the test word from that definition and rechecks all of it
-    but liveness, which depends on the certificates issued before.
+    empty word when the certificate was issued.  ``replay_certificates``
+    walks a search's certificates in issue order, rebuilds each test
+    word from that definition and rechecks all of it, liveness included.
     """
 
     removed_index: int
@@ -226,8 +225,8 @@ class _Prefix:
         return child
 
 
-def _reduce_path(cover: RewriteSystem, path: list[_Prefix], allowance: list[int]) -> Word:
-    """Normal form of the test word, the last node's, resumed from the memo.
+def _reduce_path(cover: RewriteSystem, path: list[_Prefix], allowance: int):
+    """``reduce_with_allowance`` of the test word, the last node's, resumed from the memo.
 
     Going up the path, a node is taken when its word is a prefix of the
     test word no longer than the last one taken: a later copy can cancel
@@ -248,10 +247,10 @@ def _reduce_path(cover: RewriteSystem, path: list[_Prefix], allowance: list[int]
                 break
             todo.append(node)
     marks = dict.fromkeys(len(node.word) for node in reversed(todo))
-    nf = reduce_with_allowance(cover, test, allowance, resume, marks)
+    reduced = reduce_with_allowance(cover, test, allowance, resume, marks)
     for node in todo:
         node.snapshot = marks[len(node.word)]
-    return nf
+    return reduced
 
 
 def _products(target, others, rows, p):
@@ -298,13 +297,14 @@ def _reduce_spanning(
     live members (integer exponents up to p in absolute value) in the
     cover group.  ``_products`` streams the candidate products whose
     abelianized image matches, a cheap necessary condition; the first
-    whose test word has cover normal form ε removes the member, all
-    normal forms charged against one shared step allowance.  Every
-    removal is recorded as a replayable certificate.  Test words are
-    built in bytes by ``_join``, from the members and their inverses
-    converted once per search, and reach the reducer freely reduced, as
-    it requires; ``replay_certificate`` rebuilds them through ``words``
-    instead.
+    whose test word has cover normal form ε removes the member.  Every
+    normal form's rewrites come off one step allowance, ``left``, and
+    the search stops at the first reduction that would need more than
+    is left, reporting the whole allowance spent.  Every removal is
+    recorded as a replayable certificate.  Test words are built in bytes
+    by ``_join``, from the members and their inverses converted once per
+    search, and reach the reducer freely reduced, as it requires;
+    ``replay_certificates`` rebuilds them through ``words`` instead.
 
     One pass is the fixed point.  Live members only leave, so a second
     pass would try each survivor against a subset of the members it was
@@ -324,7 +324,7 @@ def _reduce_spanning(
     ``_reduce_path`` resumes from the longest prefix with a snapshot,
     passing over a node that a later seam cancels into, and takes
     snapshots at the prefixes after it.  A snapshot depends on its
-    prefix alone, so every normal form and every charge, the allowance
+    prefix alone, so every normal form and every count, the allowance
     running dry included, are those of reducing each test word from
     scratch, and so are the removals, ``steps`` and ``exhausted``.  A
     node keeps the children of one member only, so the memo holds
@@ -335,54 +335,56 @@ def _reduce_spanning(
     inverses = [bytes(words.invert(w)) for w in spanning]
     live = list(range(len(spanning)))
     certs: list[RemovalCertificate] = []
-    cell = [budget.max_steps]
-    exhausted = False
-    try:
-        for ridx in range(len(spanning)):
-            others = [m for m in live if m != ridx]
-            root = _Prefix(inverses[ridx])
-            for factors in _products(rows[ridx], others, rows, p):
-                path = [root]
-                for m, e in factors:
-                    piece = members[m] if e >= 0 else inverses[m]
-                    for _ in range(abs(e)):
-                        path.append(path[-1].extend(m, piece))
-                if _reduce_path(cover, path, cell) == words.EMPTY:
-                    live.remove(ridx)
-                    test = tuple(path[-1].word)
-                    certs.append(RemovalCertificate(ridx, spanning[ridx], factors, test))
-                    break
-    except StepLimitExceeded:
-        exhausted = True
-
-    used = budget.max_steps - max(cell[0], 0)
-    report = {"steps": used, "exhausted": exhausted}
-    return live, certs, report
+    left = budget.max_steps
+    for ridx in range(len(spanning)):
+        others = [m for m in live if m != ridx]
+        root = _Prefix(inverses[ridx])
+        for factors in _products(rows[ridx], others, rows, p):
+            path = [root]
+            for m, e in factors:
+                piece = members[m] if e >= 0 else inverses[m]
+                for _ in range(abs(e)):
+                    path.append(path[-1].extend(m, piece))
+            reduced = _reduce_path(cover, path, left)
+            if reduced is None:
+                return live, certs, {"steps": budget.max_steps, "exhausted": True}
+            nf, applied = reduced
+            left -= applied
+            if nf == words.EMPTY:
+                live.remove(ridx)
+                test = tuple(path[-1].word)
+                certs.append(RemovalCertificate(ridx, spanning[ridx], factors, test))
+                break
+    return live, certs, {"steps": budget.max_steps - left, "exhausted": False}
 
 
-def replay_certificate(
-    cert: RemovalCertificate, spanning: Sequence[Word], cover: RewriteSystem
+def replay_certificates(
+    certs: Sequence[RemovalCertificate], spanning: Sequence[Word], cover: RewriteSystem
 ) -> bool:
-    """Recheck a removal certificate from scratch against the cover system.
+    """Recheck a search's removal certificates, in issue order, against the cover system.
 
-    The test word is rebuilt from its definition by ``words``, not by the
-    search's byte joins, so replay shares only ``normal_form`` with the
-    search.  Each factor must name another member of ``spanning``: a
-    factor naming the removed member makes the product trivially its
-    own, which proves nothing.
+    Each test word is rebuilt from its definition by ``words``, not by
+    the search's byte joins, so replay shares only ``normal_form`` with
+    the search.  Each certificate may cite only members of ``spanning``
+    still live when it comes: never the removed member, which makes the
+    product trivially its own, and never one removed by an earlier
+    certificate, so that no two removals rest on each other.
     """
-    ridx, n = cert.removed_index, len(spanning)
-    if not 0 <= ridx < n or cert.removed_word != spanning[ridx]:
-        return False
-    if any(not 0 <= m < n or m == ridx for m, _ in cert.factors):
-        return False
-    test = words.concat(
-        words.invert(spanning[ridx]),
-        *(words.power(spanning[m], e) for m, e in cert.factors),
-    )
-    if test != cert.test_word:
-        return False
-    return normal_form(cover, test) == words.EMPTY
+    live = set(range(len(spanning)))
+    for cert in certs:
+        ridx = cert.removed_index
+        if ridx not in live or cert.removed_word != spanning[ridx]:
+            return False
+        live.remove(ridx)
+        if any(m not in live for m, _ in cert.factors):
+            return False
+        test = words.concat(
+            words.invert(spanning[ridx]),
+            *(words.power(spanning[m], e) for m, e in cert.factors),
+        )
+        if test != cert.test_word or normal_form(cover, test) != words.EMPTY:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

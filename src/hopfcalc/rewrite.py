@@ -96,13 +96,15 @@ every rewrite charged, is that of the trie walk, wherever ``_nf``
 switches.
 
 ``reduce_with_allowance`` takes a freely reduced word, as the spanning
-search builds its test words, and charges only the rewrites it applies
-to the search's step allowance; ``normal_form`` takes any word, freely
-reduces it first and reduces it with no limit.  The search's test words
-share prefixes, and ``reduce_with_allowance`` can resume from a
-snapshot taken once the reducer has read a prefix and nothing after it.
-A snapshot depends on its prefix alone, so the normal form, the charge
-and the point where an allowance runs dry are a fresh reduction's.
+search builds its test words, and the most rewrites it may apply.  It
+returns the normal form with the rewrites it applied, which the search
+takes off its step allowance, or None when it would need more;
+``normal_form`` takes any word, freely reduces it first and reduces it
+with no limit.  The search's test words share prefixes, and
+``reduce_with_allowance`` can resume from a snapshot taken once the
+reducer has read a prefix and nothing after it.  A snapshot depends on
+its prefix alone, so the normal form, the count and the point where an
+allowance runs dry are a fresh reduction's.
 
 Counting elements stops as soon as the irreducible words are seen to be
 infinitely many (see ``enumerate_elements``), so an infinite group with
@@ -126,10 +128,6 @@ from .words import Word
 
 class Overflow(Exception):
     """Element enumeration exceeded its cap."""
-
-
-class StepLimitExceeded(Exception):
-    """``reduce_with_allowance`` ran out of its caller's step allowance."""
 
 
 @dataclass(frozen=True)
@@ -629,51 +627,47 @@ def normal_form(rws: RewriteSystem, word: Word) -> Word:
     The word is freely reduced first and then reduced as
     ``reduce_with_allowance`` does.
     """
-    return reduce_with_allowance(rws, words.free_reduce(word), [math.inf])
+    return reduce_with_allowance(rws, words.free_reduce(word), math.inf)[0]
 
 
 def reduce_with_allowance(
     rws: RewriteSystem,
     word: Word | bytes,
-    allowance: list[int],
+    allowance: float,
     resume: tuple[int, Snapshot] | None = None,
     marks: dict[int, Snapshot | None] | None = None,
-) -> Word:
-    """Normal form of a freely reduced word, charged against a caller-owned allowance.
+) -> tuple[Word, int] | None:
+    """Normal form of a freely reduced word and the rewrites applied, within an allowance.
 
     ``word`` is a sequence of letters, a tuple or bytes, and must be
     freely reduced: this entry point does not cancel inverse pairs
     itself.  Left in, such a pair is rewritten by the system's rules
-    and charged like any other rewrite; ``normal_form`` takes any word.
-    The single-cell ``allowance`` list is decremented once per rewrite
-    application and StepLimitExceeded is raised when it runs dry, so one
-    budget can span a whole batch of reduction calls.  The word is
-    reduced through the system's prefix automaton, built on the first
-    call and kept until the rules change; it applies the rewrites the
+    and counted like any other rewrite; ``normal_form`` takes any word.
+    ``allowance`` is the most rewrites the reduction may apply, an int
+    or ``math.inf``; None when it would need more.  The word is reduced
+    through the system's prefix automaton, built on the first call and
+    kept until the rules change; it applies the rewrites the
     completion's trie walk would (see the module docstring), so the
-    result and the charge are the same.  A letter outside the system's
-    alphabet, 2 * arity or more, is a ValueError.
+    normal form and the count are the same.  A letter outside the
+    system's alphabet, negative or 2 * arity or more, is a ValueError.
 
     ``resume``, a pair (b, snapshot) taken on a word with the same first
     b letters, and ``marks``, the prefix lengths to take snapshots at,
     go to ``PrefixAutomaton.reduce``.  A snapshot depends on the first b
     letters alone, so a resumed reduction gives a fresh one's normal
-    form and charge, and raises where it would.
+    form and count, and None where it would.
     """
-    word = bytes(word)
-    if word and max(word) >= 2 * rws.arity:
+    # bytes hold no negative letter, so only a tuple pays for min
+    if word and (max(word) >= 2 * rws.arity or not isinstance(word, bytes) and min(word) < 0):
+        bad = next(x for x in word if not 0 <= x < 2 * rws.arity)
         raise ValueError(
-            f"letter {max(word)} is outside the alphabet of "
-            f"{rws.arity} generators and their inverses"
+            f"letter {bad} is outside the alphabet of {rws.arity} generators and their inverses"
         )
-    reduced = rws._reducer().reduce(word, 0, allowance[0], resume, marks)
+    reduced = rws._reducer().reduce(bytes(word), 0, allowance, resume, marks)
     if reduced is None:
-        # it ran dry at the rewrite after the last one it could pay for
-        allowance[0] -= max(allowance[0], 0) + 1
-        raise StepLimitExceeded
+        return None
     out, applied = reduced
-    allowance[0] -= applied
-    return tuple(out)
+    return tuple(out), applied
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> list[Word]:

@@ -16,14 +16,13 @@ from hopfcalc.hopf import (
     exponent_matrix,
     h1_dimension,
     image_matrix,
-    replay_certificate,
+    replay_certificates,
     run_pipeline,
     to_json,
 )
 from hopfcalc.presentation import Presentation, corpus, corpus_names, parse_presentation
 from hopfcalc.rewrite import (
     Budget,
-    StepLimitExceeded,
     initial_rules,
     knuth_bendix,
     reduce_with_allowance,
@@ -192,19 +191,29 @@ def test_certificates_replay():
     assert res.budget_report["removals"] == len(res.certificates) == 1
     cover = knuth_bendix(initial_rules(build_p_cover(pres, 2)))
     cert = res.certificates[0]
-    assert replay_certificate(cert, list(pres.relators), cover)
+    assert replay_certificates([cert], list(pres.relators), cover)
     forged = dataclasses.replace(cert, factors=((0, 1),) * len(cert.factors))
-    assert not replay_certificate(forged, list(pres.relators), cover)
+    assert not replay_certificates([forged], list(pres.relators), cover)
     # inverse(R0)·R0 is ε: a factor naming the removed member proves nothing
     r0 = pres.relators[0]
-    assert not replay_certificate(
-        hopf.RemovalCertificate(0, r0, ((0, 1),), ()), list(pres.relators), cover
+    assert not replay_certificates(
+        [hopf.RemovalCertificate(0, r0, ((0, 1),), ())], list(pres.relators), cover
     )
     n = len(pres.relators)
     out_of_range = dataclasses.replace(cert, factors=((n, 1),))
-    assert not replay_certificate(out_of_range, list(pres.relators), cover)
+    assert not replay_certificates([out_of_range], list(pres.relators), cover)
     removed_out_of_range = dataclasses.replace(cert, removed_index=n)
-    assert not replay_certificate(removed_out_of_range, list(pres.relators), cover)
+    assert not replay_certificates([removed_out_of_range], list(pres.relators), cover)
+    # two copies of a^2: each removal by the other holds alone, but once
+    # one is gone the other may not rest on it
+    square = (0, 0)
+    twice = Presentation(("a",), (square, square))
+    cover = knuth_bendix(initial_rules(build_p_cover(twice, 2)))
+    first = hopf.RemovalCertificate(0, square, ((1, 1),), ())
+    second = hopf.RemovalCertificate(1, square, ((0, 1),), ())
+    assert replay_certificates([first], list(twice.relators), cover)
+    assert replay_certificates([second], list(twice.relators), cover)
+    assert not replay_certificates([first, second], list(twice.relators), cover)
 
 
 def test_reduction_never_changes_h1_or_rank():
@@ -302,22 +311,27 @@ def test_zero_h2_is_exact():
             assert res.h2_kind is BoundKind.EXACT, (pres.name, p)
 
 
-def reference_pass(spanning, rows, cover, p, live, certs, cell):
+def reference_pass(spanning, rows, cover, p, live, certs, left):
     """One pass of the spanning search, each test word reduced alone, as a reference.
 
-    Removes from ``live`` and appends to ``certs`` in place;
-    StepLimitExceeded ends it.
+    Removes from ``live`` and appends to ``certs`` in place, and returns
+    the steps left of ``left``, or None once a reduction needs more.
     """
     for ridx in list(live):
         others = [m for m in live if m != ridx]
         for factors in hopf._products(rows[ridx], others, rows, p):
             test = product_by_concat(spanning, ridx, factors)
-            if reduce_with_allowance(cover, test, cell) == words.EMPTY:
+            reduced = reduce_with_allowance(cover, test, left)
+            if reduced is None:
+                return None
+            left -= reduced[1]
+            if reduced[0] == words.EMPTY:
                 live.remove(ridx)
                 certs.append(
                     hopf.RemovalCertificate(ridx, spanning[ridx], factors, tuple(test))
                 )
                 break
+    return left
 
 
 def reference_search(spanning, rows, cover, p, budget, passes=1):
@@ -329,16 +343,18 @@ def reference_search(spanning, rows, cover, p, budget, passes=1):
     live = list(range(len(spanning)))
     certs = []
     starts = []
-    cell = [budget.max_steps]
-    exhausted = False
-    try:
-        while len(starts) < passes and (not starts or len(certs) > starts[-1]):
-            starts.append(len(certs))
-            reference_pass(spanning, rows, cover, p, live, certs, cell)
-    except StepLimitExceeded:
-        exhausted = True
+    left = budget.max_steps
+    while (
+        left is not None
+        and len(starts) < passes
+        and (not starts or len(certs) > starts[-1])
+    ):
+        starts.append(len(certs))
+        left = reference_pass(spanning, rows, cover, p, live, certs, left)
     removed = [b - a for a, b in zip(starts, starts[1:] + [len(certs)])]
-    return live, certs, budget.max_steps - max(cell[0], 0), exhausted, removed
+    exhausted = left is None
+    steps = budget.max_steps - (0 if exhausted else left)
+    return live, certs, steps, exhausted, removed
 
 
 def test_one_pass_search_reaches_the_fixed_point():
@@ -363,13 +379,9 @@ def test_one_pass_search_reaches_the_fixed_point():
         assert not any(removed[1:]), cell
         second_passes += len(removed) > 1
         cheaper += report["steps"] < ref_steps
-        # every certificate replays and cites only members live when it
-        # was issued, so no removal rests on another: they form no cycle
-        alive = set(range(len(spanning)))
-        for cert in certs:
-            assert replay_certificate(cert, spanning, cover), cell
-            alive.remove(cert.removed_index)
-            assert all(m in alive for m, _ in cert.factors), cell
+        # the certificates replay in issue order, each citing only members
+        # still live, so no removal rests on another: they form no cycle
+        assert replay_certificates(certs, spanning, cover), cell
         issued += len(certs)
     # the cells whose search_passes fell from 2 to 1, and those of them
     # whose search_steps fell

@@ -19,7 +19,6 @@ from hopfcalc.rewrite import (
     Budget,
     Overflow,
     RewriteSystem,
-    StepLimitExceeded,
     dump_rules,
     enumerate_elements,
     group_order,
@@ -148,26 +147,23 @@ def test_normal_form_is_read_only():
 
 def test_normal_form_step_limit():
     rws = completed(Z6)
-    with pytest.raises(StepLimitExceeded):
-        reduce_with_allowance(rws, words.free_reduce((0,) * 60), [1])
+    assert reduce_with_allowance(rws, words.free_reduce((0,) * 60), 1) is None
 
 
-def test_reduce_with_allowance_shares_one_budget():
+def test_reduce_with_allowance_returns_its_rewrite_count():
     rws = completed(Z6)
-    cell = [1000]
-    assert reduce_with_allowance(rws, (0,) * 12, cell) == ()
-    spent = 1000 - cell[0]
+    nf, spent = reduce_with_allowance(rws, (0,) * 12, 1000)
+    assert nf == ()
     assert spent > 0
-    with pytest.raises(StepLimitExceeded):
-        reduce_with_allowance(rws, (0,) * 60, [1])
+    assert reduce_with_allowance(rws, (0,) * 12, spent - 1) is None
 
 
-@pytest.mark.parametrize("letter", [4, 255])
+@pytest.mark.parametrize("letter", [-1, 4, 255, 256])
 def test_letters_outside_the_alphabet_are_rejected(letter):
     # S3 has two generators, so its letters are 0..3
     rws = completed(S3)
     with pytest.raises(ValueError, match="outside the alphabet"):
-        reduce_with_allowance(rws, (0, letter), [10])
+        reduce_with_allowance(rws, (0, letter), 10)
     with pytest.raises(ValueError, match="outside the alphabet"):
         normal_form(rws, (letter,))
     assert normal_form(rws, (3,)) == normal_form(rws, (2, 2))
@@ -230,10 +226,9 @@ def test_normal_form_does_not_charge_free_cancellation():
     rws = completed(Z6)
     w = (0, 1) * 30
     assert normal_form(rws, w) == ()
-    assert reduce_with_allowance(rws, words.free_reduce(w), [0]) == ()
-    # left in, the inverse pairs are rewritten by the rules and charged
-    with pytest.raises(StepLimitExceeded):
-        reduce_with_allowance(rws, w, [0])
+    assert reduce_with_allowance(rws, words.free_reduce(w), 0) == ((), 0)
+    # left in, the inverse pairs are rewritten by the rules and counted
+    assert reduce_with_allowance(rws, w, 0) is None
 
 
 @given(words3, words3, words3, st.booleans())
@@ -242,17 +237,12 @@ def test_normal_form_is_reduce_with_allowance_of_the_free_reduction(u, v, x, par
     rws = partial_cover() if partial else completed(S3)
     w = tuple(u) + tuple(v) + words.invert(v) + tuple(x)
     reduced = words.free_reduce(w)
-    cell = [10**6]
-    nf = reduce_with_allowance(rws, reduced, cell)
-    spent = 10**6 - cell[0]
+    nf, spent = reduce_with_allowance(rws, reduced, 10**6)
     assert normal_form(rws, w) == nf
-    # one charge per rewrite: exactly spent is enough, and less is not
-    cell = [spent]
-    assert reduce_with_allowance(rws, reduced, cell) == nf
-    assert cell == [0]
+    # one count per rewrite: exactly spent is enough, and less is not
+    assert reduce_with_allowance(rws, reduced, spent) == (nf, spent)
     for allowance in range(spent):
-        with pytest.raises(StepLimitExceeded):
-            reduce_with_allowance(rws, reduced, [allowance])
+        assert reduce_with_allowance(rws, reduced, allowance) is None
 
 
 def reference_reduce(rules, w):
@@ -317,8 +307,7 @@ def assert_both_reducers_match_the_reference(rws, w):
         assert (tuple(nf), rws.steps - saved[0]) == expected
     finally:
         rws.steps, rws._walk_left = saved
-    automaton = [10**6]
-    assert (reduce_with_allowance(rws, tuple(w), automaton), 10**6 - automaton[0]) == expected
+    assert reduce_with_allowance(rws, tuple(w), 10**6) == expected
 
 
 def assert_trie_holds_exactly_the_live_rules(rws):
@@ -663,9 +652,7 @@ def test_left_sides_thousands_of_letters_long_reduce_without_recursion():
     deep = (0,) * 3000 + (2,)
     assert normal_form(rws, deep) == deep
     assert normal_form(rws, (0,) * 6002 + (2,)) == (0, 2)
-    cell = [3001]
-    assert reduce_with_allowance(rws, (0,) * 6001, cell) == ()
-    assert cell == [0]
+    assert reduce_with_allowance(rws, (0,) * 6001, 3001) == ((), 3001)
     # inside completion: with a and b commuting, the pair of ba -> ab and
     # a^3001 reduces a·b·a^3000 to a^3001·b, through a^3001.  That pair
     # comes before the walk has fed enough to switch, so the switch is
@@ -710,12 +697,12 @@ def test_a_long_left_side_gives_the_reference_transitions():
 def test_an_insert_drops_the_prefix_automaton():
     rws = RewriteSystem(1)  # a = 0, A = 1
     a7 = (0,) * 7
-    assert reduce_with_allowance(rws, a7, [0]) == a7
+    assert reduce_with_allowance(rws, a7, 0) == (a7, 0)
     assert rws._automaton is not None
     rws._insert(b"\x00\x00\x00", b"\x01")  # aaa -> A
     assert rws._automaton is None
     assert_both_reducers_match_the_reference(rws, a7)
-    assert reduce_with_allowance(rws, a7, [10]) == (1,)
+    assert reduce_with_allowance(rws, a7, 10) == ((1,), 3)
 
 
 def test_left_sides_of_one_letter_reduce_like_the_reference():
