@@ -5,9 +5,12 @@ one prime, ``table`` regenerates the h1/h2 grids over the corpus,
 ``simplify`` applies a substitution map and tidies the relators, and
 ``oracle-check`` compares pipeline answers against the Fox-calculus
 oracle on finite groups.  Every result comes from one ``run_pipeline``
-call per cell; ``table`` runs its cells one after another.  Exit
-codes: 0 success, 1 usage or failed check, 2 parse or validation
-error, 3 oracle unavailable.
+call per cell.  ``table`` and ``oracle-check`` run their cells in one
+forked share per CPU in the process's affinity mask (``taskset -c 0
+hopfcalc table ...`` runs them all in one process); the output is
+byte-identical across runs and CPU counts.  Exit codes: 0 success, 1
+usage or failed check, 2 parse or validation error, 3 oracle
+unavailable.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import argparse
 import csv
 import io
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -179,6 +184,76 @@ def _parse_primes(args) -> list[int]:
     return out
 
 
+def _share(func, items, start: int, step: int):
+    """``func`` over ``items[start::step]`` in order, up to the first exception.
+
+    Returns the results and ``None``, or the results so far and
+    ``(index, exception)`` for the first cell that raised.
+    """
+    out = []
+    for i in range(start, len(items), step):
+        try:
+            out.append(func(items[i]))
+        except Exception as e:
+            return out, (i, e)
+    return out, None
+
+
+def _map_shares(func, items) -> list:
+    """``[func(x) for x in items]``, in one share per CPU this process may use.
+
+    Share w is ``items[w::workers]``.  The parent runs share 0; each
+    other share runs in an ``os.fork()``ed child, which pickles its
+    results, or its first exception and that cell's index, to a pipe and
+    leaves through ``os._exit``.  Results come back in the order of
+    ``items``, and the exception raised is the first failing cell's, as
+    a loop would raise it.  The parent reaps every child even when its
+    own share raises.
+
+    Forking is safe here: the cells run pure Python and element-wise
+    numpy with no BLAS call, the children write nothing to stdout, and
+    ``os._exit`` flushes no buffer a second time.
+    """
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = max(1, min(len(items), len(os.sched_getaffinity(0)) if usable else 1))
+    children, shares = [], {}
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(wfd, "wb") as f:
+                        pickle.dump(_share(func, items, w, workers), f)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children.append((w, pid, r))
+        shares[0] = _share(func, items, 0, workers)
+    finally:
+        reports = []
+        for w, pid, r in children:
+            with os.fdopen(r, "rb") as f:
+                data = f.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reports.append((w, data, status))
+    for w, data, status in reports:
+        shares[w] = pickle.loads(data) if status == 0 else ([], (w, RuntimeError(
+            f"the process running cells {items[w::workers]} exited with status "
+            f"{status} before reporting a result"
+        )))
+    failures = [failure for _, failure in shares.values() if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (done, _) in shares.items():
+        out[w::workers] = done
+    return out
+
+
 def _csv(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -256,12 +331,11 @@ def cmd_table(args) -> int:
     primes = _parse_primes(args)
     budget = _budget(args)
     loaded = {name: corpus(name) for name in names}
-    results = {
-        (name, p): run_pipeline(loaded[name], p, budget)
-        for name in names
-        for p in primes
-    }
-    sys.stdout.write(_render_table(names, primes, results, args.format))
+    cells = [(name, p) for name in names for p in primes]
+    done = _map_shares(
+        lambda cell: run_pipeline(loaded[cell[0]], cell[1], budget), cells
+    )
+    sys.stdout.write(_render_table(names, primes, dict(zip(cells, done)), args.format))
     return 0
 
 
@@ -356,7 +430,9 @@ def cmd_oracle_check(args) -> int:
     pres = _load_presentation(args)
     primes = _parse_primes(args)
     budget = _budget(args)
-    reports = [oracle.check(pres, p, budget, cap=args.max_order) for p in primes]
+    reports = _map_shares(
+        lambda p: oracle.check(pres, p, budget, cap=args.max_order), primes
+    )
     if args.format == "json":
         sys.stdout.write(json.dumps(reports, indent=2, ensure_ascii=False) + "\n")
     elif args.format == "csv":

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from hopfcalc import cli
+from hopfcalc.oracle import OracleUnavailable
 
 UB_PRES = "gens: a b\nrel: [a,b]^2\n"
 
@@ -18,6 +19,16 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the cell shares see ``cpus`` as this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_compute_text_exact(capsys):
@@ -217,18 +228,45 @@ def test_oracle_check_rejects_a_cap_below_one(tmp_path, capsys):
     assert "oracle unavailable" not in err
 
 
-def test_oracle_check_failure_exits_1(monkeypatch, capsys):
-    def fake_check(pres, p, budget=None, cap=None):
-        return {
-            "group": pres.name, "prime": p,
-            "pipeline_h1": 0, "pipeline_h2": 0, "pipeline_kind": "exact",
-            "oracle_h1": 1, "oracle_h2": 0, "verdict": "fail",
-        }
+def fake_oracle_check(pres, p, budget=None, cap=None):
+    """A report that passes at p=2 and fails at every other prime."""
+    return {
+        "group": pres.name, "prime": p,
+        "pipeline_h1": 0, "pipeline_h2": 0, "pipeline_kind": "exact",
+        "oracle_h1": int(p != 2), "oracle_h2": 0,
+        "verdict": "pass" if p == 2 else "fail",
+    }
 
-    monkeypatch.setattr(cli.oracle, "check", fake_check)
-    code, out, _ = run(capsys, "oracle-check", "--corpus", "SL2_F2", "--prime", "2")
+
+def test_oracle_check_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.oracle, "check", fake_oracle_check)
+    code, out, _ = run(capsys, "oracle-check", "--corpus", "SL2_F2", "--prime", "3")
     assert code == 1
     assert out.splitlines()[0].endswith("fail")
+    # p=3 is the second cell, checked in a forked process
+    use_cpus(monkeypatch, {0, 1})
+    code, out, _ = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--primes", "2,3"
+    )
+    assert code == 1
+    assert [line.split()[-1] for line in out.splitlines()] == ["pass", "fail"]
+    assert_no_child_left()
+
+
+def test_oracle_unavailable_in_a_forked_share_exits_3(monkeypatch, capsys):
+    def unavailable_at_3(pres, p, budget=None, cap=None):
+        if p == 3:
+            raise OracleUnavailable("no oracle at p=3")
+        return fake_oracle_check(pres, p)
+
+    monkeypatch.setattr(cli.oracle, "check", unavailable_at_3)
+    use_cpus(monkeypatch, {0, 1})
+    code, out, err = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--primes", "2,3"
+    )
+    assert (code, out) == (3, "")
+    assert "oracle unavailable: no oracle at p=3" in err
+    assert_no_child_left()
 
 
 def test_table_markdown_and_bounds(capsys):
@@ -263,6 +301,77 @@ def test_table_csv_and_json(capsys):
     assert json.loads(out) == [
         {"group": "SL2_ZI", "prime": 2, "h1_dim": 1, "h2_value": 1, "h2_kind": "exact"}
     ]
+
+
+def test_table_output_is_byte_identical_across_cpu_counts(monkeypatch, capsys):
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    argv = ("table", "--corpus", "SL2_ZI,SL2_ZOMEGA", "--primes", "2,3")
+    for fmt in ("json", "csv", "markdown", "text"):
+        use_cpus(monkeypatch, {0})
+        one = run(capsys, *argv, "--format", fmt)
+        use_cpus(monkeypatch, {0, 1})
+        assert run(capsys, *argv, "--format", fmt) == one, fmt
+        assert one[0] == 0
+    assert len(forks) == 4  # one child per two-CPU run
+    assert_no_child_left()
+
+
+def test_table_raises_the_first_failing_cell_from_a_forked_share(monkeypatch):
+    # two shares: the parent runs cells 0 and 2, a child runs cell 1
+    real = cli.run_pipeline
+
+    def failing(pres, p, budget):
+        if pres.name != "SL2_F2":
+            raise ArithmeticError(f"{pres.name} p={p} failed")
+        return real(pres, p, budget)
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    use_cpus(monkeypatch, {0, 1})
+    argv = ["table", "--corpus", "SL2_F2,SL2_ZI,SL2_F3", "--primes", "2"]
+    with pytest.raises(ArithmeticError, match="^SL2_ZI p=2 failed$"):
+        cli.main(argv)
+    assert_no_child_left()
+
+
+def exit_at_once():
+    os._exit(1)
+
+
+def raise_unpicklable():
+    raise ArithmeticError(lambda: None)
+
+
+@pytest.mark.parametrize("death", [exit_at_once, raise_unpicklable])
+def test_table_reports_a_forked_share_that_dies(monkeypatch, death):
+    real = cli.run_pipeline
+    parent = os.getpid()
+
+    def dying(pres, p, budget):
+        if os.getpid() != parent:
+            death()
+        return real(pres, p, budget)
+
+    monkeypatch.setattr(cli, "run_pipeline", dying)
+    use_cpus(monkeypatch, {0, 1})
+    argv = ["table", "--corpus", "SL2_F2,SL2_ZI", "--primes", "2"]
+    died = r"cells \[\('SL2_ZI', 2\)\] exited with status 1 before"
+    with pytest.raises(RuntimeError, match=died):
+        cli.main(argv)
+    assert_no_child_left()
+
+
+def test_table_on_one_cpu_does_not_fork(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    use_cpus(monkeypatch, {0})
+    code, out, _ = run(capsys, "table", "--corpus", "SL2_F2,SL2_ZI", "--primes", "2,3")
+    assert code == 0
+    assert "| SL2_ZI | 1 | 0 |" in out
+    assert_no_child_left()
 
 
 def test_simplify_with_map(tmp_path, capsys):
