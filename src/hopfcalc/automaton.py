@@ -12,8 +12,11 @@ of itself less its first letter (Aho and Corasick, CACM 18, 1975), fixed
 when the state is numbered.  The transition from s on x is s·x when
 that is a whole left side, a hit, or a proper prefix of one, else that
 from fail(s), and from the empty state the empty state.  A hit is ~rid,
-a negative int, in place of a next state, and the rule is read from
-``rules``, the system's only store of right sides.
+a negative int, in place of a next state.  What the hit does is read
+from a rewrite table built with the automaton, rid -> (len(lhs) - 1,
+rhs reversed): the output letters to drop besides the one just read,
+and the letters to push back, in the order a stack pops them.  So a
+rewrite recomputes neither, however often its rule fires.
 
 A transition is computed on first use and cached in its state's row, a
 list with one slot per letter: ``step`` goes down the failure chain to
@@ -43,10 +46,12 @@ class PrefixAutomaton:
         self, rules: dict[int, tuple[bytes, bytes]], prefixes: dict[bytes, list[int]], arity: int
     ):
         self._prefixes = prefixes
-        self._rules = rules
         # whole left side -> ~rid; no left side is a state, since a
         # state is a proper prefix of a left side
         self._hits = {lhs: ~rid for rid, (lhs, _) in rules.items()}
+        # rid -> what a hit does: the left side's letters to drop from
+        # the output besides the last, and the right side reversed
+        self._rewrites = {rid: (len(lhs) - 1, rhs[::-1]) for rid, (lhs, rhs) in rules.items()}
         # per state: its word, its failure state and its row, where
         # _delta[s][x] is the cached transition from s on letter x
         self._words = [b""]
@@ -129,7 +134,7 @@ class PrefixAutomaton:
         prefix.  ``marks`` maps prefix lengths from the start on, in
         ascending order, to None, and each is set to the snapshot there.
         """
-        delta, rules, step = self._delta, self._rules, self.step
+        delta, rewrites, step = self._delta, self._rewrites, self.step
         if resume is None:
             start = irreducible
             out = bytearray(word[:start])
@@ -164,14 +169,13 @@ class PrefixAutomaton:
                     states.append(t)
                     state = t
                 else:
-                    lhs, rhs = rules[~t]
+                    cut, back = rewrites[~t]
                     # cut is 0 for a left side of one letter, so the slices
                     # start at len(), not at -cut
-                    cut = len(lhs) - 1
                     del out[len(out) - cut:]
                     del states[len(states) - cut:]
                     state = states[-1]
-                    pending += rhs[::-1]
+                    pending += back
                     applied += 1
                     if applied > limit:
                         return None

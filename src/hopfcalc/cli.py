@@ -271,10 +271,11 @@ def _bounded(value: int, kind: BoundKind) -> str:
 def cmd_compute(args) -> int:
     pres = _load_presentation(args)
     budget = _budget(args)
-    result = run_pipeline(pres, args.prime, budget)
-    if args.dump_rules:
-        # the same deterministic completion the pipeline ran on the base
-        base = knuth_bendix(initial_rules(pres), budget)
+    # with --dump-rules the base is completed here, once, for the
+    # pipeline and the dump; else the pipeline completes it
+    base = knuth_bendix(initial_rules(pres), budget) if args.dump_rules else None
+    result = run_pipeline(pres, args.prime, budget, base=base)
+    if base is not None:
         Path(args.dump_rules).write_text(
             dump_rules(base, pres.generators), encoding="utf-8"
         )

@@ -395,6 +395,8 @@ def run_pipeline(
     pres: Presentation,
     p: int,
     budget: Budget = DEFAULT_BUDGET,
+    *,
+    base: RewriteSystem | None = None,
 ) -> HopfResult:
     """Run the whole computation for one presentation at one prime.
 
@@ -403,9 +405,21 @@ def run_pipeline(
     else the larger of the image rank and the one-relator criterion's 1.
     A source above the order count, or lower above m, raises
     ``ArithmeticError``.
+
+    ``base``, when given, is the system
+    ``knuth_bendix(initial_rules(pres), budget)`` returned, which the
+    pipeline then reads in place of completing the base again: the
+    completion is deterministic, so the result is the same.  A system
+    completed from other relators or under another budget is a
+    ``ValueError``.
     """
     fplinalg.require_prime(p)
-    base = knuth_bendix(initial_rules(pres), budget)
+    if base is None:
+        base = knuth_bendix(initial_rules(pres), budget)
+    elif (base.arity, base.relators, base.budget) != (pres.arity, pres.relators, budget):
+        raise ValueError(
+            "base was not completed from this presentation's relators under this budget"
+        )
     cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
     base_order = group_order(base, ORDER_CAP)
     cover_order = group_order(cover, ORDER_CAP)

@@ -16,8 +16,9 @@ first.  A node is a list with one slot per letter of
 the alphabet, holding a child node, a rule id or None; a left side's id
 sits in the slot of its first letter, in place of a child, so a walk
 costs one list subscript and one type test per letter.
-``rules`` is the only store of right sides: the trie and the prefix
-automaton below hold rule ids and read a rule from it. The trie walk
+``rules`` is the store of right sides: the trie holds rule ids and
+reads a rule from it, and the prefix automaton below keeps a reversed
+copy of each, taken when it is built. The trie walk
 appends one letter at a time and walks back from that letter;
 the first rule id on the walk is the shortest left side that is a suffix
 of the output, and that is the rule applied. Shortest suffix first is
@@ -54,13 +55,16 @@ and popping cost O(1), plus a pop's step up from the shortest length
 that may be non-empty, which only falls when a shorter pair is pushed.
 
 Interreduction finds the live rules that a new left side rewrites with
-one substring search of every live left and right side, joined into one
-buffer. Most inserts touch no rule, and for those the search is all the
-work; only when it matches are the rules tested one by one. The buffer
-is kept between inserts: one that touches no rule appends its two sides,
-one that retires a rule or renormalizes a right side drops it, and the
-next insert joins it afresh, so it always equals the join of the live
-sides in id order.
+a substring search of every live left and right side, joined into one
+buffer. Most inserts touch no rule, and for those one search that finds
+nothing is all the work. Beside the buffer lie each live rule's start
+offset in it and its id, so a match names the rule it starts in, by
+bisection; only that rule is tested, and the search resumes at the next
+rule's start, so no insert scans every rule. The buffer is kept between
+inserts: one that touches no rule appends its two sides, and its offset
+and id, one that retires a rule or renormalizes a right side drops all
+three, and the next insert joins them afresh, so they always describe
+the join of the live sides in id order.
 
 Two reducers serve two kinds of traffic. The trie walk needs no setup,
 and an insert keeps the trie current at the cost of one left side. The
@@ -116,9 +120,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 from . import words
 from .automaton import PrefixAutomaton, Snapshot
@@ -211,9 +216,9 @@ MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte val
 # letters a state.
 _LETTERS_PER_PREFIX = 16
 
-# joins the live sides for interreduction's one search; with 128
-# generators it is also letter 255, so a match may cross it: a false
-# positive, which the exact per-rule test then rejects
+# joins the live sides for interreduction's search; with 128 generators
+# it is also letter 255, so a match may cross it: a false positive,
+# which the exact test of the rule it starts in then rejects
 _SEP = b"\xff"
 
 
@@ -228,6 +233,10 @@ class RewriteSystem:
             )
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
+        # what the system was made from: the relators ``initial_rules``
+        # oriented and the budget ``knuth_bendix`` completed it under
+        self.relators: tuple[Word, ...] | None = None
+        self.budget: Budget | None = None
         # one slot per letter: a child node, a rule id (a leaf) or None
         self._trie: list = [None] * (2 * arity)
         # proper prefix / proper suffix of a live left side -> the ids of
@@ -249,8 +258,11 @@ class RewriteSystem:
         self._shortest = 0
         self._queued = 0
         # _SEP join of the live sides in id order, or None until the next
-        # insert joins it afresh
+        # insert joins it afresh; beside it each live rule's start offset
+        # in the join and its id, in id order, or None with it
         self._sides: bytearray | None = None
+        self._starts: list[int] | None = None
+        self._ids: list[int] | None = None
         # the prefix automaton of the live rules, built on first use; an
         # insert drops it.  _walk_left is the letters the trie walk may
         # still take before _nf switches to it; an insert sets it
@@ -285,10 +297,14 @@ class RewriteSystem:
         id of 2^32 or more raises ``OverflowError`` when it is queued,
         rather than wrapping.
 
-        Interreduction touches the live rules with L inside a side.  One
+        Interreduction touches the live rules with L inside a side.  A
         search of all their sides, joined by ``_SEP`` before the new rule
-        is installed, tells whether there are any; only then is each
-        rule tested.  The rules with L in the left side are retired
+        is installed, finds them: each match lies in the rule whose start
+        offset is the last at or before it, that rule alone is tested,
+        and the search goes on from the next rule's start, so the rules
+        are met in id order and none is tested without a match.  A match
+        across ``_SEP`` fails the test, and one inside the same rule
+        needs no second look.  The rules with L in the left side are retired
         first and queued as equations, in id order; then L is installed;
         then the rules with L in the right side alone, all still live,
         have that side renormalized, in id order.  So no live left side
@@ -297,9 +313,10 @@ class RewriteSystem:
         changes no result: while L is installed a left side containing
         L can never fire, so a right side reduces to the same normal
         form, at the same charge, before or after that rule is retired.
-        The joined sides are kept: with no rule touched, L and its right
-        side are appended; otherwise the buffer is dropped and the next
-        insert joins it again.
+        The joined sides are kept, with the start offsets and ids: with
+        no rule touched, L and its right side are appended, and their
+        offset and id; otherwise all three are dropped and the next
+        insert builds them again.
 
         L must contain no live left side; a normal form from
         ``_equation`` or an inverse pair from ``__init__`` never does.
@@ -310,17 +327,29 @@ class RewriteSystem:
         afresh, and it reads the prefix index.
         """
         self._automaton = None
-        sides = self._sides
+        rules = self.rules
+        sides, starts, ids = self._sides, self._starts, self._ids
         if sides is None:
-            sides = bytearray(_SEP.join(chain.from_iterable(self.rules.values())))
-        # the rules with lhs in a side, in id order
-        if lhs in sides:
-            touched = [i for i, (l, r) in self.rules.items() if lhs in l or lhs in r]
-        else:
-            touched = []
+            sides = bytearray(_SEP.join(chain.from_iterable(rules.values())))
+            starts = [0, *accumulate(len(l) + len(r) + 2 for l, r in rules.values())]
+            starts.pop()
+            ids = list(rules)
+        # the rules with lhs in a side, in id order: each match names the
+        # rule it starts in, and the search resumes at the next rule
+        touched = []
+        at = sides.find(lhs)
+        while at >= 0:
+            k = bisect_right(starts, at)
+            other = ids[k - 1]
+            l, r = rules[other]
+            if lhs in l or lhs in r:
+                touched.append(other)
+            if k == len(starts):
+                break
+            at = sides.find(lhs, starts[k])
         renormalize = []
         for other in touched:
-            l, r = self.rules[other]
+            l, r = rules[other]
             if lhs in l:
                 self._retire(other)
                 self._pending.append((l, r))
@@ -335,19 +364,21 @@ class RewriteSystem:
             node = child
         node[lhs[0]] = rid
         self._next_id += 1
-        self.rules[rid] = (lhs, rhs)
+        rules[rid] = (lhs, rhs)
         if touched:
-            self._sides = None
+            self._sides = self._starts = self._ids = None
         else:
             if sides:
                 sides += _SEP
+            starts.append(len(sides))
+            ids.append(rid)
             sides += lhs
             sides += _SEP
             sides += rhs
-            self._sides = sides
+            self._sides, self._starts, self._ids = sides, starts, ids
         # overlap queue, charged as a scan of the other live rules so
         # that step budgets keep their meaning
-        self.steps += 2 * (len(self.rules) - 1)
+        self.steps += 2 * (len(rules) - 1)
         n = len(lhs)
         hits = [(rid, 0, k) for k in range(1, n) if lhs.endswith(lhs[:k])]
         for k in range(1, n):
@@ -356,7 +387,7 @@ class RewriteSystem:
             for other in self._suffixes.get(lhs[:k], ()):
                 hits.append((other, 1, k))
         hits.sort()
-        pairs, rules, shortest = self._pairs, self.rules, self._shortest
+        pairs, shortest = self._pairs, self._shortest
         for other, backwards, k in hits:
             length = n + len(rules[other][0]) - k
             while len(pairs) <= length:
@@ -377,8 +408,8 @@ class RewriteSystem:
             index.setdefault(affix, []).append(rid)
         self._walk_left = _LETTERS_PER_PREFIX * len(self._prefixes)
         for other in renormalize:
-            l, r = self.rules[other]
-            self.rules[other] = (l, self._nf(r))
+            l, r = rules[other]
+            rules[other] = (l, self._nf(r))
 
     def _pop_pair(self, max_steps: int) -> tuple[int, int, int] | None:
         """Take queued pairs, oldest of the shortest length first, up to a live one.
@@ -526,13 +557,16 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
     confluence flag is only set for the relator-free case, where the
     inverse rules alone are confluent.
 
-    No budget bounds this orientation.  Every relator rule is installed
+    The relators are recorded on the system, for ``run_pipeline`` to
+    check a base it is handed against.  No budget bounds this
+    orientation.  Every relator rule is installed
     whatever its length, beyond any ``max_rule_length``, and the rewrites
     and inserts it takes are charged to ``steps`` without a check
     against any ``max_steps``, so a ``knuth_bendix`` that follows starts
     with them spent (see ``Budget``).
     """
     rws = RewriteSystem(pres.arity)
+    rws.relators = pres.relators
     trivial = True
     for r in pres.relators:
         oriented = orient_relator(r)
@@ -573,14 +607,16 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     The loop ends with nothing queued unless ``limited`` is set, so the
     system is confluent exactly when it is not limited.  The returned
     system is finished: the pending equations, the pair buckets with
-    their unpopped pairs, the interreduction buffer and the suffix
-    index, which only an insert reads, are released, so a later call
-    cannot take up where this one stopped.  Such a call on a limited
-    system changes nothing and still leaves ``confluent`` False, since
-    ``limited`` stays set.  A finished system must not be inserted
-    into; the prefix index stays, since the prefix automaton reads it,
-    and so does an automaton that ``_nf`` built after the last insert,
-    since it is that of the returned rules.
+    their unpopped pairs, the interreduction buffer with its offsets and
+    ids, and the suffix index, which only an insert reads, are released,
+    so a later call cannot take up where this one stopped.  Such a call
+    on a limited system changes nothing and still leaves ``confluent``
+    False, since ``limited`` stays set.  A finished system must not be
+    inserted into; the prefix index stays, since the prefix automaton
+    reads it, and so does an automaton that ``_nf`` built after the last
+    insert, since it is that of the returned rules.  The budget is
+    recorded on the system, for ``run_pipeline`` to check a base it is
+    handed against.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -616,8 +652,9 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     rws.confluent = not rws.limited
     rws._pending.clear()
     rws._pairs, rws._heads, rws._shortest, rws._queued = [], [], 0, 0
-    rws._sides = None
+    rws._sides = rws._starts = rws._ids = None
     rws._suffixes = {}
+    rws.budget = budget
     return rws
 
 

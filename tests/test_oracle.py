@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hopfcalc import fplinalg, oracle, words
+from hopfcalc import fplinalg, hopf, oracle, words
 from hopfcalc.presentation import corpus, parse_presentation
 from hopfcalc.rewrite import (
     Budget,
@@ -205,6 +205,22 @@ def test_check_passes_where_the_pipeline_bound_is_loose():
         rep = oracle.check(pres, p)
         assert rep["verdict"] == "pass", rep
         assert (rep["oracle_h1"], rep["oracle_h2"]) == dims, rep
+
+
+def test_check_completes_the_base_once(monkeypatch):
+    calls = []
+
+    def counted(site, complete):
+        def knuth_bendix(rws, budget):
+            calls.append(site)
+            return complete(rws, budget)
+
+        return knuth_bendix
+
+    monkeypatch.setattr(oracle, "knuth_bendix", counted("base", oracle.knuth_bendix))
+    monkeypatch.setattr(hopf, "knuth_bendix", counted("cover", hopf.knuth_bendix))
+    assert oracle.check(corpus("SL2_F2"), 2)["verdict"] == "pass"
+    assert calls == ["base", "cover"]
 
 
 def test_check_unavailable_for_infinite_groups(monkeypatch):

@@ -848,7 +848,9 @@ def test_buckets_pop_in_the_order_of_a_length_then_push_number_heap(shape, p, st
             assert [(length, i, j) for length, _, i, j, _ in popped] == taken
             if pair is not None:
                 assert popped[-1][2:] == pair
-    assert (rws._pairs, rws._heads, rws._queued, rws._sides) == ([], [], 0, None)
+    assert (rws._pairs, rws._heads, rws._queued, rws._sides, rws._starts, rws._ids) == (
+        [], [], 0, None, None, None
+    )
     pairs, heads, queued = released
     assert queued == len(heap)
     remaining = [
@@ -919,9 +921,18 @@ def test_interreduction_buffer_is_dropped_or_the_join_of_the_live_sides(shape, p
         after = {rid: rule for rid, rule in self.rules.items() if rid in before}
         if self._sides is None:
             assert after != before, "the buffer was dropped though no rule changed"
+            assert (self._starts, self._ids) == (None, None)
         else:
             assert after == before
             assert self._sides == _SEP.join(itertools.chain.from_iterable(self.rules.values()))
+            # each live rule's start in the join, and its id, in id order
+            assert self._ids == sorted(self.rules)
+            assert len(self._starts) == len(self.rules)
+            at = 0
+            for start, (l, r) in zip(self._starts, self.rules.values()):
+                assert start == at
+                assert self._sides[at:at + len(l) + 1 + len(r)] == l + _SEP + r
+                at += len(l) + len(r) + 2
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RewriteSystem, "_insert", insert)
@@ -1026,6 +1037,15 @@ def test_interreduction_sees_through_a_separator_collision():
     checked_insert(rws, b"\xff\x02", b"\x04")
     assert (b"\x02\xff\x02", b"\xff") not in rws.rules.values()
     assert list(rws._pending) == [(b"\x02\xff\x02", b"\xff")]
+    # a false match in rule 0 comes before a genuine one in a later
+    # rule: the walk passes rule 0 and still retires the later rule
+    rws = RewriteSystem(128)
+    checked_insert(rws, b"\x02\x01\xff", b"\x04")
+    later = rws._next_id - 1
+    assert rws._sides.find(b"\x01\xff") < rws._starts[1]
+    checked_insert(rws, b"\x01\xff", b"\x03")
+    assert later not in rws.rules and 0 in rws.rules
+    assert list(rws._pending) == [(b"\x02\x01\xff", b"\x04")]
 
 
 def test_at_most_128_generators():
