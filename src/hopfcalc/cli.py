@@ -64,16 +64,16 @@ def _add_source_flags(sp):
 
 
 def _add_budget_flags(sp):
-    sp.add_argument("--budget-rules", type=int, metavar="N", default=None)
-    sp.add_argument("--budget-len", type=int, metavar="N", default=None)
-    sp.add_argument("--budget-steps", type=int, metavar="N", default=None)
+    sp.add_argument("--budget-rules", type=int, metavar="N", default=DEFAULT_BUDGET.max_rules)
+    sp.add_argument("--budget-len", type=int, metavar="N", default=DEFAULT_BUDGET.max_rule_length)
+    sp.add_argument("--budget-steps", type=int, metavar="N", default=DEFAULT_BUDGET.max_steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hopfcalc", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("compute", parents=[], help="one presentation, one prime")
+    c = sub.add_parser("compute", help="one presentation, one prime")
     _add_source_flags(c)
     c.add_argument("--prime", type=int, required=True)
     c.add_argument(
@@ -155,33 +155,31 @@ def _load_presentation(args) -> Presentation:
 
 
 def _budget(args) -> Budget:
-    def given(value, default):
-        return default if value is None else value
-
     return Budget(
-        max_rules=given(args.budget_rules, DEFAULT_BUDGET.max_rules),
-        max_rule_length=given(args.budget_len, DEFAULT_BUDGET.max_rule_length),
-        max_steps=given(args.budget_steps, DEFAULT_BUDGET.max_steps),
+        max_rules=args.budget_rules,
+        max_rule_length=args.budget_len,
+        max_steps=args.budget_steps,
     )
 
 
+def _comma_list(raw: str, what: str) -> list[str]:
+    """The non-blank items of a comma-separated flag value."""
+    items = [t.strip() for t in raw.split(",") if t.strip()]
+    if not items:
+        raise UsageError(f"empty {what} list")
+    return items
+
+
 def _parse_primes(args) -> list[int]:
-    out: list[int] = []
-    if getattr(args, "prime", None) is not None:
-        out.append(args.prime)
-    raw = getattr(args, "primes", None)
-    if raw is not None:
-        toks = [t.strip() for t in raw.split(",") if t.strip()]
-        if not toks:
-            raise UsageError("empty prime list")
-        for t in toks:
+    prime = getattr(args, "prime", None)  # table has only --primes
+    out = [] if prime is None else [prime]
+    if args.primes is not None:
+        for t in _comma_list(args.primes, "prime"):
             try:
                 out.append(int(t))
             except ValueError:
                 raise ValueError(f"bad prime {t!r}") from None
-    if not out:
-        out = list(DEFAULT_PRIMES)
-    return out
+    return out or list(DEFAULT_PRIMES)
 
 
 def _share(func, items, start: int, step: int):
@@ -300,9 +298,8 @@ def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
     if fmt == "csv":
         return _csv(zip(*scalars))
     if fmt == "markdown":
-        lines = ["| field | value |", "|---|---|"]
-        lines.extend(f"| {k} | {v} |" for k, v in scalars)
-        return "\n".join(lines) + "\n"
+        rows = [[k, str(v)] for k, v in scalars]
+        return "\n".join(_md_table(["field", "value"], rows)) + "\n"
     exact = r.h2_kind is BoundKind.EXACT
     h2 = f"h2 = {r.h2_value} (exact)" if exact else f"h2 ≤ {r.h2_value}"
     da = f"dim A = {r.dim_a} (exact)" if exact else f"dim A ≤ {r.dim_a}"
@@ -323,12 +320,7 @@ def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
 
 
 def cmd_table(args) -> int:
-    if args.corpus:
-        names = [t.strip() for t in args.corpus.split(",") if t.strip()]
-        if not names:
-            raise UsageError("empty corpus list")
-    else:
-        names = list(corpus_names())
+    names = _comma_list(args.corpus, "corpus") if args.corpus else list(corpus_names())
     primes = _parse_primes(args)
     budget = _budget(args)
     loaded = {name: corpus(name) for name in names}
@@ -341,26 +333,18 @@ def cmd_table(args) -> int:
 
 
 def _render_table(names, primes, results, fmt: str) -> str:
+    rows = [
+        [name, p, r.h1_dim, r.h2_value, r.h2_kind.value]
+        for name in names
+        for p in primes
+        for r in [results[name, p]]
+    ]
     if fmt == "json":
-        records = [
-            {
-                "group": name,
-                "prime": p,
-                "h1_dim": results[name, p].h1_dim,
-                "h2_value": results[name, p].h2_value,
-                "h2_kind": results[name, p].h2_kind.value,
-            }
-            for name in names
-            for p in primes
-        ]
+        keys = ["group", "prime", "h1_dim", "h2_value", "h2_kind"]
+        records = [dict(zip(keys, row)) for row in rows]
         return json.dumps(records, indent=2, ensure_ascii=False) + "\n"
     if fmt == "csv":
-        rows = [["group", "prime", "h1", "h2", "h2_kind"]]
-        for name in names:
-            for p in primes:
-                r = results[name, p]
-                rows.append([name, p, r.h1_dim, r.h2_value, r.h2_kind.value])
-        return _csv(rows)
+        return _csv([["group", "prime", "h1", "h2", "h2_kind"]] + rows)
     header = ["group"] + [f"p={p}" for p in primes]
     h1_rows = [
         [name] + [str(results[name, p].h1_dim) for p in primes] for name in names

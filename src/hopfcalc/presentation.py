@@ -168,43 +168,50 @@ def parse_word(text: str, generators: tuple[str, ...] | list[str], line_no: int 
     return w
 
 
-def _names(content: str, indent: int, key: str, line_no: int) -> tuple[str, ...]:
-    """The distinct generator names listed after ``key`` on a line."""
-    names: list[str] = []
-    for m in _NAME_RE.finditer(content, indent + len(key)):
-        g = m.group()
-        if not _IDENT_RE.fullmatch(g):
-            raise ParseError(f"bad generator name {g!r}", line_no, m.start() + 1)
-        if g in names:
-            raise ParseError("duplicate generator name", line_no, m.start() + 1)
-        names.append(g)
-    if not names:
-        raise ParseError(f"{key} line lists no generators", line_no, indent + 1)
-    return tuple(names)
+def _sections(text: str, head: str, body: str):
+    """Read one ``head`` line, which comes first, and then ``body`` lines.
 
-
-def parse_presentation(text: str, name: str | None = None) -> Presentation:
-    generators: tuple[str, ...] | None = None
-    relators: list[Word] = []
+    Yields the head line's distinct generator names, then ``(line_no,
+    col, rest)`` for each body line, ``rest`` being the text after the
+    key from 0-based column ``col``.
+    """
+    names: list[str] | None = None
     for line_no, content in _logical_lines(text):
         stripped = content.lstrip()
         indent = len(content) - len(stripped)
-        if stripped.startswith("gens:"):
-            if generators is not None:
-                raise ParseError("duplicate gens: line", line_no, indent + 1)
-            generators = _names(content, indent, "gens:", line_no)
-        elif stripped.startswith("rel:"):
-            if generators is None:
-                raise ParseError("rel: before gens:", line_no, indent + 1)
-            body_col = indent + len("rel:")
-            body = content[body_col:]
-            if not body.strip():
-                raise ParseError("empty relator", line_no, body_col + 1)
-            relators.append(parse_word(body, generators, line_no, body_col))
+        if stripped.startswith(head):
+            if names is not None:
+                raise ParseError(f"duplicate {head} line", line_no, indent + 1)
+            names = []
+            for m in _NAME_RE.finditer(content, indent + len(head)):
+                g = m.group()
+                if not _IDENT_RE.fullmatch(g):
+                    raise ParseError(f"bad generator name {g!r}", line_no, m.start() + 1)
+                if g in names:
+                    raise ParseError("duplicate generator name", line_no, m.start() + 1)
+                names.append(g)
+            if not names:
+                raise ParseError(f"{head} line lists no generators", line_no, indent + 1)
+            yield tuple(names)
+        elif stripped.startswith(body):
+            if names is None:
+                raise ParseError(f"{body} before {head}", line_no, indent + 1)
+            col = indent + len(body)
+            yield line_no, col, content[col:]
         else:
-            raise ParseError("expected 'gens:' or 'rel:' line", line_no, indent + 1)
-    if generators is None:
-        raise ParseError("missing gens: line", 1, 1)
+            raise ParseError(f"expected {head!r} or {body!r} line", line_no, indent + 1)
+    if names is None:
+        raise ParseError(f"missing {head} line", 1, 1)
+
+
+def parse_presentation(text: str, name: str | None = None) -> Presentation:
+    lines = _sections(text, "gens:", "rel:")
+    generators = next(lines)
+    relators = []
+    for line_no, col, rest in lines:
+        if not rest.strip():
+            raise ParseError("empty relator", line_no, col + 1)
+        relators.append(parse_word(rest, generators, line_no, col))
     return Presentation(generators, tuple(relators), name=name)
 
 
@@ -236,35 +243,21 @@ def render_presentation(p: Presentation) -> str:
 
 
 def parse_substitution(text: str) -> SubstitutionMap:
-    targets: tuple[str, ...] | None = None
-    sources: list[str] = []
-    images: list[Word] = []
-    for line_no, content in _logical_lines(text):
-        stripped = content.lstrip()
-        indent = len(content) - len(stripped)
-        if stripped.startswith("targets:"):
-            if targets is not None:
-                raise ParseError("duplicate targets: line", line_no, indent + 1)
-            targets = _names(content, indent, "targets:", line_no)
-        elif stripped.startswith("map:"):
-            if targets is None:
-                raise ParseError("map: before targets:", line_no, indent + 1)
-            body = stripped[len("map:"):]
-            if "->" not in body:
-                raise ParseError("map: line needs '->'", line_no, indent + 1)
-            src, img = body.split("->", 1)
-            src = src.strip()
-            if not _IDENT_RE.fullmatch(src):
-                raise ParseError(f"bad source generator {src!r}", line_no, indent + 1)
-            if src in sources:
-                raise ParseError(f"duplicate map for {src!r}", line_no, indent + 1)
-            images.append(parse_word(img, targets, line_no, len(content) - len(img)))
-            sources.append(src)
-        else:
-            raise ParseError("expected 'targets:' or 'map:' line", line_no, indent + 1)
-    if targets is None:
-        raise ParseError("missing targets: line", 1, 1)
-    return SubstitutionMap(tuple(sources), targets, tuple(images))
+    lines = _sections(text, "targets:", "map:")
+    targets = next(lines)
+    images: dict[str, Word] = {}
+    for line_no, col, rest in lines:
+        at = col - len("map:") + 1  # errors point at the key
+        if "->" not in rest:
+            raise ParseError("map: line needs '->'", line_no, at)
+        src, img = rest.split("->", 1)
+        src = src.strip()
+        if not _IDENT_RE.fullmatch(src):
+            raise ParseError(f"bad source generator {src!r}", line_no, at)
+        if src in images:
+            raise ParseError(f"duplicate map for {src!r}", line_no, at)
+        images[src] = parse_word(img, targets, line_no, col + len(rest) - len(img))
+    return SubstitutionMap(tuple(images), targets, tuple(images.values()))
 
 
 def apply_substitution(p: Presentation, m: SubstitutionMap) -> Presentation:

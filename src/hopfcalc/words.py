@@ -79,13 +79,6 @@ def cyclic_reduce(word: Sequence[int]) -> tuple[Word, Word]:
     return w[lo:hi], w[hi:]
 
 
-def cyclic_rotations(word: Sequence[int]) -> list[Word]:
-    w = tuple(word)
-    if not w:
-        return [EMPTY]
-    return [w[i:] + w[:i] for i in range(len(w))]
-
-
 def exponent_vector(word: Sequence[int], n_generators: int) -> list[int]:
     """Image in Z^n under abelianization: net exponent of each generator."""
     vec = [0] * n_generators

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from hopfcalc import cli
 from hopfcalc.oracle import OracleUnavailable
+from hopfcalc.rewrite import DEFAULT_BUDGET
 
 UB_PRES = "gens: a b\nrel: [a,b]^2\n"
 
@@ -182,6 +184,36 @@ def test_more_than_128_generators_exit_2(tmp_path, capsys):
     assert "at most 128 generators" in err
 
 
+def test_bad_prime_in_a_list_exits_2(capsys):
+    code, out, err = run(capsys, "table", "--corpus", "SL2_F2", "--primes", "2,x")
+    assert (code, out) == (2, "")
+    assert err == "hopfcalc: error: bad prime 'x'\n"
+
+
+def test_budget_flags_default_to_the_default_budget():
+    parser = cli.build_parser()
+    for argv in (
+        ["compute", "--corpus", "SL2_F2", "--prime", "2"],
+        ["table"],
+        ["oracle-check", "--corpus", "SL2_F2"],
+    ):
+        args = parser.parse_args(argv)
+        flags = (args.budget_rules, args.budget_len, args.budget_steps)
+        assert flags == dataclasses.astuple(DEFAULT_BUDGET)
+
+
+def test_compute_stopped_by_the_rule_limit_gives_an_upper_bound(capsys):
+    code, out, _ = run(
+        capsys, "compute", "--corpus", "SL2_F3", "--prime", "3",
+        "--budget-rules", "12", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["budget"]["base_limited"] is True
+    # the oracle's h2 for SL(2,3) at p=3 is 1, so the bound is tight
+    assert (record["h2_value"], record["h2_kind"]) == (1, "upper_bound")
+
+
 def test_zero_budget_limits_exit_2(capsys):
     for flag in ("--budget-steps", "--budget-rules", "--budget-len"):
         for value in ("0", "-1"):
@@ -209,6 +241,32 @@ def test_oracle_check_pass(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert all(line.endswith("pass") for line in lines)
+
+
+def test_oracle_check_json(capsys):
+    code, out, _ = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--primes", "2,3", "--format", "json"
+    )
+    assert code == 0
+    reports = json.loads(out)
+    assert [(rep["group"], rep["prime"]) for rep in reports] == [("SL2_F2", 2), ("SL2_F2", 3)]
+    assert all(rep["verdict"] == "pass" for rep in reports)
+
+
+def test_oracle_check_defaults_to_the_primes_up_to_7(capsys):
+    code, out, _ = run(capsys, "oracle-check", "--corpus", "SL2_F2")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"SL2_F2 p={p}" for p in (2, 3, 5, 7)
+    ]
+
+
+def test_oracle_unavailable_when_the_base_does_not_complete_exits_3(capsys):
+    code, out, err = run(
+        capsys, "oracle-check", "--corpus", "SL2_F3", "--prime", "3", "--budget-steps", "10"
+    )
+    assert (code, out) == (3, "")
+    assert "no confluent rewriting system within budget" in err
 
 
 def test_oracle_check_rejects_a_cap_below_one(tmp_path, capsys):

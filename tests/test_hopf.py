@@ -216,6 +216,26 @@ def test_certificates_replay():
     assert not replay_certificates([first, second], list(twice.relators), cover)
 
 
+def test_replay_rejects_a_wrong_test_word_or_a_product_that_is_not_trivial():
+    pres = corpus("GL2_Z")
+    budget = Budget(max_steps=3000)
+    (cert,) = run_pipeline(pres, 3, budget).certificates
+    assert (cert.removed_index, cert.factors) == (0, ((1, 1), (2, 2)))
+    spanning = list(pres.relators)
+    cover = knuth_bendix(initial_rules(build_p_cover(pres, 3)), budget)
+    assert replay_certificates([cert], spanning, cover)
+    other_word = dataclasses.replace(cert, test_word=cert.test_word[:-1])
+    assert not replay_certificates([other_word], spanning, cover)
+    # the right test word for other live factors: only the normal form,
+    # which is not the empty word, tells it apart
+    factors = ((1, 2), (2, 2))
+    test = words.concat(
+        words.invert(spanning[0]), *(words.power(spanning[m], e) for m, e in factors)
+    )
+    wrong_product = dataclasses.replace(cert, factors=factors, test_word=test)
+    assert not replay_certificates([wrong_product], spanning, cover)
+
+
 def test_reduction_never_changes_h1_or_rank():
     for name in ("SL2_F2", "SL2_F3", "SL2_ZI"):
         pres = corpus(name)

@@ -223,14 +223,21 @@ def test_check_completes_the_base_once(monkeypatch):
     assert calls == ["base", "cover"]
 
 
-def test_check_unavailable_for_infinite_groups(monkeypatch):
-    def no_pipeline(*args, **kwargs):
-        raise AssertionError("the pipeline ran before the oracle could answer")
+def no_pipeline(*args, **kwargs):
+    raise AssertionError("the pipeline ran before the oracle could answer")
 
+
+def test_check_unavailable_for_infinite_groups(monkeypatch):
     monkeypatch.setattr(oracle, "run_pipeline", no_pipeline)
     torus = parse_presentation("gens: a b\nrel: [a,b]\n", name="torus")
     with pytest.raises(oracle.OracleUnavailable):
         oracle.check(torus, 2)
+
+
+def test_check_unavailable_when_the_base_does_not_complete(monkeypatch):
+    monkeypatch.setattr(oracle, "run_pipeline", no_pipeline)
+    with pytest.raises(oracle.OracleUnavailable, match="no confluent rewriting system"):
+        oracle.check(corpus("SL2_F3"), 3, Budget(max_steps=10))
 
 
 def test_check_unavailable_when_order_exceeds_cap():

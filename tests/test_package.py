@@ -96,3 +96,28 @@ def test_traced_names_are_the_functions_their_spans_name():
         owner = importlib.import_module(f"hopfcalc.{layer}")
         site = importlib.import_module(module_name)
         assert getattr(site, attr) is getattr(owner, name), (module_name, attr, span)
+
+
+def test_every_module_level_definition_is_used_or_public():
+    # a function or class that only tests call is dead weight in src/;
+    # a definition's mentions of itself (recursion) do not count
+    mentions = []  # (module, top-level statement, names it mentions)
+    for path in sorted(Path(hopfcalc.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            mentions.append((path.name, stmt, names))
+    unused = [
+        f"{module}:{stmt.lineno} {stmt.name}"
+        for module, stmt, _ in mentions
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name not in hopfcalc.__all__
+        and not any(stmt.name in names for _, other, names in mentions if other is not stmt)
+    ]
+    assert unused == []

@@ -121,6 +121,41 @@ def test_targets_line_errors_point_at_the_name(text, message, col):
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, 1, col)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("gens: a\ngens: b", "duplicate gens: line", 2, 1),
+        ("rel: a", "rel: before gens:", 1, 1),
+        ("gens: a\n  what: now", "expected 'gens:' or 'rel:' line", 2, 3),
+        ("# nothing here\n", "missing gens: line", 1, 1),
+        ("gens: a\n  rel:  # empty", "empty relator", 2, 7),
+    ],
+)
+def test_presentation_line_errors(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("targets: x\ntargets: y", "duplicate targets: line", 2, 1),
+        ("targets: x\nmap: 1a -> x", "bad source generator '1a'", 2, 1),
+        ("targets: x\nwhat: now", "expected 'targets:' or 'map:' line", 2, 1),
+        ("map: a -> x", "map: before targets:", 1, 1),
+        ("", "missing targets: line", 1, 1),
+        ("targets: x\n  map: a x", "map: line needs '->'", 2, 3),
+        ("targets: x\nmap: a -> x\nmap: a -> x", "duplicate map for 'a'", 3, 1),
+        ("targets: x\nmap: a -> x*zz", "unknown generator 'zz'", 2, 13),
+    ],
+)
+def test_substitution_line_errors(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_substitution(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         Presentation(("a", "a"), ())

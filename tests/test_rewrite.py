@@ -57,7 +57,7 @@ def test_orient_relator():
 
 def test_orient_relator_ignores_how_the_relator_was_written():
     r = words.commutator((0,), (2,))
-    for rot in words.cyclic_rotations(r):
+    for rot in (r[i:] + r[:i] for i in range(len(r))):
         assert orient_relator(rot) == orient_relator(r)
     assert orient_relator(words.invert(r)) == orient_relator(r)
 
@@ -69,7 +69,7 @@ def rotation_orient(relator):
         return None
     best = None
     for base in (core, words.invert(core)):
-        for rot in words.cyclic_rotations(base):
+        for rot in (base[i:] + base[:i] for i in range(len(base))):
             cut = (len(rot) + 1) // 2
             u, v = rot[:cut], words.invert(rot[cut:])
             lhs, rhs = (u, v) if (len(u), u) > (len(v), v) else (v, u)
@@ -178,6 +178,18 @@ def test_limited_completion_is_still_sound_for_trivial_words():
     for w in itertools.product(range(4), repeat=4):
         if normal_form(rws, w) == ():
             assert normal_form(reference, w) == ()
+
+
+def test_completion_stops_at_the_rule_limit():
+    # the limit is checked before each insert: with 40 live rules the
+    # next insert is refused, while a limit of 41 lets it in and the
+    # completion interreduces back to the 40 rules of SL(2,3)
+    stopped = completed(corpus("SL2_F3"), Budget(max_rules=40))
+    assert (len(stopped.rules), stopped.limited, stopped.confluent) == (40, True, False)
+    assert group_order(stopped, 100) is None
+    done = completed(corpus("SL2_F3"), Budget(max_rules=41))
+    assert (len(done.rules), done.limited, done.confluent) == (40, False, True)
+    assert group_order(done, 100) == 24
 
 
 def test_dump_rules_format():
