@@ -163,8 +163,11 @@ def _budget(args) -> Budget:
 
 
 def _comma_list(raw: str, what: str) -> list[str]:
-    """The non-blank items of a comma-separated flag value."""
-    items = [t.strip() for t in raw.split(",") if t.strip()]
+    """The non-blank items of a comma-separated flag value, each once.
+
+    A repeated item keeps the place of its first occurrence.
+    """
+    items = list(dict.fromkeys(t.strip() for t in raw.split(",") if t.strip()))
     if not items:
         raise UsageError(f"empty {what} list")
     return items
@@ -179,7 +182,8 @@ def _parse_primes(args) -> list[int]:
                 out.append(int(t))
             except ValueError:
                 raise ValueError(f"bad prime {t!r}") from None
-    return out or list(DEFAULT_PRIMES)
+    # a prime given twice, as --prime and in --primes or as 2 and 02, runs once
+    return list(dict.fromkeys(out)) or list(DEFAULT_PRIMES)
 
 
 def _share(func, items, start: int, step: int):
@@ -320,7 +324,10 @@ def _render_compute(r: HopfResult, fmt: str, with_candidates: bool) -> str:
 
 
 def cmd_table(args) -> int:
-    names = _comma_list(args.corpus, "corpus") if args.corpus else list(corpus_names())
+    # an empty --corpus is a usage error, as an empty --primes is
+    names = (
+        list(corpus_names()) if args.corpus is None else _comma_list(args.corpus, "corpus")
+    )
     primes = _parse_primes(args)
     budget = _budget(args)
     loaded = {name: corpus(name) for name in names}

@@ -9,17 +9,26 @@ element to its exponent vector, and dim H_2(G;F_p) is the kernel
 dimension of that map restricted to A.
 
 What keeps the pipeline honest is the bound kind.  The spanning set
-starts as the full relator list and only ever shrinks under replayable
-certificates, so its size m bounds dim A from above and ``m minus image
-rank`` bounds h2.  The search that shrinks it makes one pass over the
-members in input order: members only leave, so a second pass would
-retest each survivor on a subset of its candidate products, whose
+is a set of relators whose size m bounds dim A from above, so ``m minus
+image rank`` bounds h2.  It comes by one of two routes.  When the group
+has a known finite order |G| and its cover may fit under ``ORDER_CAP``,
+the cover is enumerated as a coset table (``cosets``): its size |C|
+gives dim A, with p^(dim A) = |C|/|G|, and the relators whose elements
+of A are independent, taken from the last relator back, are the
+spanning set, so m is dim A.  Otherwise, and whenever the enumeration
+gives up, the cover is completed as a rewriting system and the spanning
+set starts as the full relator list and only ever shrinks under
+replayable certificates.  The search that shrinks it makes one pass
+over the members in input order: members only leave, so a second pass
+would retest each survivor on a subset of its candidate products, whose
 normal forms in the finished cover system do not change, and would
 remove nothing.  From below, certified sources bound dim A: order
-counting through confluent systems for the group and its cover gives
-dim A itself, A maps onto the relators' image in F_p^n so the image
-rank is one, and the one-relator criterion gives 1.  h2 is exact
-exactly when the largest lower bound is m, so h2 = 0 is always exact.
+counting gives dim A itself, the group counted through its confluent
+system and the cover through its coset table or its confluent system;
+A maps onto the relators' image in F_p^n, so the image rank is one; and
+the one-relator criterion gives 1.  h2 is exact exactly when the
+largest lower bound is m, so h2 = 0 is always exact, and so is every
+result of the table route.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import numpy as np
 
 from . import fplinalg, words
 from .automaton import Snapshot
+from .cosets import CosetTable, check_table, enumerate_cosets, walk
 from .presentation import Presentation, render_word, simplify
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -391,6 +401,30 @@ def replay_certificates(
 # assembling the result
 
 
+def _table_basis(
+    table: CosetTable, relators: Sequence[Word], p: int
+) -> tuple[list[int], int]:
+    """Relators whose elements of A form a basis, and the size of their span.
+
+    A relator's element is the coset its word leads to from coset 0.
+    Going from the last relator back, one is kept when its element lies
+    outside the span of those kept so far, and the span grows by its
+    multiples.  Returns the kept indices in input order.
+    """
+    span = {0}
+    kept = []
+    for i in reversed(range(len(relators))):
+        w = relators[i]
+        if walk(table, 0, w) in span:
+            continue
+        kept.append(i)
+        layer = list(span)
+        for _ in range(p - 1):
+            layer = [walk(table, c, w) for c in layer]
+            span.update(layer)
+    return kept[::-1], len(span)
+
+
 def run_pipeline(
     pres: Presentation,
     p: int,
@@ -406,6 +440,19 @@ def run_pipeline(
     A source above the order count, or lower above m, raises
     ``ArithmeticError``.
 
+    Two routes lead to the spanning set.  When the base has a known
+    order |G| and |G|·p^(image rank) is within ``ORDER_CAP``, the cover
+    is enumerated as a coset table (``cosets.enumerate_cosets``, with
+    ``budget.max_steps`` coset definitions).  A table that passes
+    ``check_table`` gives the cover order, so dim A, and a basis of A
+    among the relators (``_table_basis``), which is the spanning set:
+    no cover completion, no search and no certificates.  A basis of
+    another size than dim A, or a span of another size than |C|/|G|,
+    raises ``ArithmeticError``.  Every other input, and every
+    enumeration that gives up, takes the completion route: the cover is
+    completed and counted, and ``_reduce_spanning`` shrinks the
+    relators under certificates.
+
     ``base``, when given, is the system
     ``knuth_bendix(initial_rules(pres), budget)`` returned, which the
     pipeline then reads in place of completing the base again: the
@@ -420,20 +467,47 @@ def run_pipeline(
         raise ValueError(
             "base was not completed from this presentation's relators under this budget"
         )
-    cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
     base_order = group_order(base, ORDER_CAP)
-    cover_order = group_order(cover, ORDER_CAP)
-    dim_a = _order_dim_a(base_order, cover_order, p)
+    cover_pres = build_p_cover(pres, p)
 
     n = pres.arity
     relators = list(pres.relators)
     rows = exponent_matrix(relators, n, p)
-    rank_all = fplinalg.rank(rows, p)
+    table = None
+    if base_order is not None:
+        # the completion route takes the image rank after completing the
+        # cover, so that perfbench's search span, which starts at the
+        # rank before the first normal form, does not take it in
+        rank_all = fplinalg.rank(rows, p)
+        if base_order * p**rank_all <= ORDER_CAP:
+            table = enumerate_cosets(cover_pres.relators, n, budget.max_steps, ORDER_CAP)
+
+    if table is not None:
+        check_table(table, cover_pres.relators)
+        cover_order = table.order
+        dim_a = _order_dim_a(base_order, cover_order, p)
+        live, span = _table_basis(table, relators, p)
+        if len(live) != dim_a or span != cover_order // base_order:
+            raise ArithmeticError("the relators' elements in the cover table do not span A")
+        certs, search = (), {"steps": 0, "exhausted": False}
+        # a complete table: no rules, its coset definitions as the steps
+        cover_rules, cover_steps, cover_limited, confluent_cover = (
+            0, table.definitions, False, True
+        )
+    else:
+        cover = knuth_bendix(initial_rules(cover_pres), budget)
+        cover_order = group_order(cover, ORDER_CAP)
+        dim_a = _order_dim_a(base_order, cover_order, p)
+        if base_order is None:
+            rank_all = fplinalg.rank(rows, p)
+        live, certs, search = _reduce_spanning(
+            relators, [tuple(r) for r in rows.tolist()], cover, p, budget
+        )
+        cover_rules, cover_steps, cover_limited, confluent_cover = (
+            len(cover.rules), cover.steps, cover.limited, cover.confluent
+        )
     h1 = n - rank_all
 
-    live, certs, search = _reduce_spanning(
-        relators, [tuple(r) for r in rows.tolist()], cover, p, budget
-    )
     final = [relators[i] for i in live]
     mat = rows[live]
     m = len(final)
@@ -474,15 +548,15 @@ def run_pipeline(
         "base_rules": len(base.rules),
         "base_steps": base.steps,
         "base_limited": base.limited,
-        "cover_rules": len(cover.rules),
-        "cover_steps": cover.steps,
-        "cover_limited": cover.limited,
+        "cover_rules": cover_rules,
+        "cover_steps": cover_steps,
+        "cover_limited": cover_limited,
         "group_order": base_order,
         "cover_order": cover_order,
         "order_dim_a": dim_a,
         "spanning_initial": len(relators),
         "initial_bound": len(relators) - rank_all,
-        "removals": len(certs),
+        "removals": len(relators) - m,
         "search_passes": 1,
         "search_steps": search["steps"],
         "search_exhausted": search["exhausted"],
@@ -501,13 +575,22 @@ def run_pipeline(
         candidates=tuple(candidates),
         certificates=tuple(certs),
         confluent_base=base.confluent,
-        confluent_cover=cover.confluent,
+        confluent_cover=confluent_cover,
         budget_report=report,
     )
 
 
 def to_json(result: HopfResult) -> dict:
-    """Serializable record; key set and order are part of the output contract."""
+    """Serializable record; key set and order are part of the output contract.
+
+    The budget block has the same keys, and each value the same type, on
+    both routes.  On the table route ``cover_rules`` is 0,
+    ``cover_steps`` counts the coset definitions, ``cover_limited`` and
+    ``search_exhausted`` are false, ``search_steps`` is 0, and
+    ``confluent_cover`` is true, since the cover is known completely.
+    On both, ``removals`` is the relators left out of the spanning set,
+    so ``h2 == initial_bound - removals``.
+    """
     gens = result.generators
     return {
         "group": result.group,

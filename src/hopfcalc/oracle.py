@@ -6,13 +6,13 @@ Fox-derivative boundary D2 of the universal cover of the presentation
 complex (Fox, Ann. Math. 57, 1953; Brown, GTM 87, II.5) and the
 augmentation ideal I of F_p[G]; h1 = dim I/I^2 and, by Hopf's formula,
 h2 = (r - rank E) - rank eps(ker D2), from ranks alone.  The matrices
-grow with |G|.  The oracle completes the base once and hands that
-system to the pipeline (``run_pipeline``'s ``base``), which counts its
-order through the prefix automaton the enumeration built.  So the two
-share the base completion itself, not only the routine, as well as the
-element enumeration, ``fplinalg.rank`` and ``fplinalg.kernel_image``,
-and a fault there can hide from the oracle; they share nothing with
-the p-cover, the spanning-set search or the removal certificates.
+grow with |G|.  The oracle completes the base itself and the pipeline
+completes its own, so the two share no completion object.  They still
+share the routines: ``knuth_bendix`` and the element enumeration (the
+pipeline counts its base through them, the oracle builds its table),
+``fplinalg.rank`` and ``fplinalg.kernel_image``, and a fault there can
+hide from the oracle.  They share nothing with the p-cover, its coset
+table, the spanning-set search or the removal certificates.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def check(
         ) from None
     oracle_h1 = bar_h1(table, p)
     oracle_h2 = bar_h2(table, pres.relators, p)
-    result = run_pipeline(pres, p, budget, base=base)
+    result = run_pipeline(pres, p, budget)
     exact = result.h2_kind is BoundKind.EXACT
     h1_ok = result.h1_dim == oracle_h1
     h2_ok = result.h2_value == oracle_h2 if exact else result.h2_value >= oracle_h2

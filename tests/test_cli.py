@@ -190,6 +190,34 @@ def test_bad_prime_in_a_list_exits_2(capsys):
     assert err == "hopfcalc: error: bad prime 'x'\n"
 
 
+def test_an_empty_corpus_list_is_a_usage_error(capsys):
+    # as an empty prime list is: not the whole corpus
+    for corpus_list in ("", " , "):
+        code, out, err = run(capsys, "table", "--corpus", corpus_list, "--primes", "2")
+        assert (code, out) == (1, "")
+        assert err == "hopfcalc: error: empty corpus list\n"
+
+
+def test_a_repeated_prime_or_group_runs_once(capsys):
+    code, out, _ = run(
+        capsys, "table", "--corpus", "SL2_ZI,SL2_ZI", "--primes", "3,2,3,02",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "group,prime,h1,h2,h2_kind",
+        "SL2_ZI,3,0,0,exact",
+        "SL2_ZI,2,1,1,exact",
+    ]
+    code, out, _ = run(
+        capsys, "oracle-check", "--corpus", "SL2_F2", "--prime", "2", "--primes", "2"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "SL2_F2 p=2: pipeline h1=1 h2=1  oracle h1=1 h2=1  pass"
+    ]
+
+
 def test_budget_flags_default_to_the_default_budget():
     parser = cli.build_parser()
     for argv in (

@@ -28,6 +28,8 @@ from hopfcalc.rewrite import (
     reduce_with_allowance,
 )
 
+from test_acceptance import ORACLE_GROUPS  # the criterion-6 groups
+
 Z5 = parse_presentation("gens: a\nrel: a^5\n", name="Z5")
 TORUS = parse_presentation("gens: a b\nrel: [a,b]\n", name="torus")
 FREE2 = parse_presentation("gens: a b\n", name="F2")
@@ -135,8 +137,14 @@ def test_single_relator_with_a_nonzero_image_row_is_exact():
     assert (res.h2_value, res.h2_kind) == (0, BoundKind.EXACT)
 
 
+def give_up(*args):
+    """An enumerator that gives up at once, so every cell takes the completion route."""
+    return None
+
+
 def test_order_count_above_the_spanning_size_is_refused(monkeypatch):
     # Z5 at p=5 keeps one spanning member; orders 5 and 125 claim dim A = 2
+    monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     orders = iter((5, 125))
     monkeypatch.setattr(hopf, "group_order", lambda rws, cap: next(orders))
     with pytest.raises(ArithmeticError):
@@ -153,6 +161,7 @@ def test_order_count_below_the_one_relator_bound_is_refused(monkeypatch):
 
 def test_search_that_drops_image_rank_is_refused(monkeypatch):
     # a^5 has the nonzero image row (1) mod 2; dropping it loses rank
+    monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     monkeypatch.setattr(
         hopf,
         "_reduce_spanning",
@@ -160,6 +169,40 @@ def test_search_that_drops_image_rank_is_refused(monkeypatch):
     )
     with pytest.raises(ArithmeticError):
         run_pipeline(Z5, 2)
+
+
+def copies(table, k):
+    """k disjoint copies of a coset table: an action of the same group, k times as large."""
+    n = table.order
+    columns = tuple(
+        tuple(c + i * n for i in range(k) for c in column) for column in table.columns
+    )
+    return dataclasses.replace(table, order=k * n, columns=columns)
+
+
+def test_table_order_above_the_relator_span_is_refused(monkeypatch):
+    # five copies of Z5's 5-cover (order 25) pass the table check, but
+    # order 125 over 5 claims dim A = 2 where a^5 spans one dimension
+    enumerate_cosets = hopf.enumerate_cosets
+    monkeypatch.setattr(
+        hopf, "enumerate_cosets", lambda *args: copies(enumerate_cosets(*args), 5)
+    )
+    with pytest.raises(ArithmeticError, match="do not span A"):
+        run_pipeline(Z5, 5)
+
+
+def test_table_span_of_the_wrong_size_is_refused(monkeypatch):
+    # SL2_F2 at p=2 keeps a basis of dim A = 2, whose span has 4 elements
+    table_basis = hopf._table_basis
+
+    def miscounted(table, relators, p):
+        kept, span = table_basis(table, relators, p)
+        return kept, span + 1
+
+    assert run_pipeline(corpus("SL2_F2"), 2).budget_report["order_dim_a"] == 2
+    monkeypatch.setattr(hopf, "_table_basis", miscounted)
+    with pytest.raises(ArithmeticError, match="do not span A"):
+        run_pipeline(corpus("SL2_F2"), 2)
 
 
 def test_kernel_that_fails_to_annihilate_is_refused(monkeypatch):
@@ -185,7 +228,10 @@ def test_candidates_annihilate_the_image_matrix():
         assert all(e % res.prime == 0 for e in words.exponent_vector(word, res.n_generators))
 
 
-def test_certificates_replay():
+def test_certificates_replay(monkeypatch):
+    # SL2_F2 is finite: only with the enumerator giving up does it take
+    # the completion route, which issues certificates
+    monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     pres = corpus("SL2_F2")
     res = run_pipeline(pres, 2)
     assert res.budget_report["removals"] == len(res.certificates) == 1
@@ -332,8 +378,10 @@ def pinned_cells():
     """The 45 pinned cells, as (presentation, prime, budget).
 
     Every corpus entry at every table prime on a small budget, plus
-    SL2_F2 at p=3 in full: removals by the empty, single and pair
-    products all occur.
+    SL2_F2 at p=3 in full: in the spanning search over their covers,
+    removals by the empty, single and pair products all occur.  The
+    pipeline takes the cover table route on the finite cells whose
+    cover enumerates within the budget's definitions.
     """
     cells = [
         (corpus(name), p, Budget(max_steps=3000))
@@ -344,17 +392,56 @@ def pinned_cells():
     return cells
 
 
-def test_pipeline_records_are_pinned():
-    # a change to the search order, the cover system, the step
-    # accounting or the exactness rule shows up here
+def test_pipeline_records_are_pinned(monkeypatch):
+    # a change to the search order, the cover system or table, the step
+    # accounting or the exactness rule shows up here; the last cell is
+    # SL2_F2 at p=3 in full again, on the completion route, whose
+    # search removes a member by the empty product
     h = hashlib.sha256()
-    for pres, p, budget in pinned_cells():
+
+    def pin(pres, p, budget):
         res = run_pipeline(pres, p, budget)
         h.update(json.dumps(to_json(res), ensure_ascii=False).encode())
         h.update(repr(res.certificates).encode())
+
+    for cell in pinned_cells():
+        pin(*cell)
+    monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
+    pin(corpus("SL2_F2"), 3, Budget())
     assert h.hexdigest() == (
-        "664387279b007f46f902c1f8cfc79192796dc719097dc8602336c5403de679bb"
+        "b1f88b45bc990e87ce1dde9f31b45b1cde055a33210074b90205234be8824ca3"
     )
+
+
+# the budget keys that tell the two routes apart (see ``to_json``)
+ROUTE_KEYS = (
+    "cover_rules", "cover_steps", "cover_limited", "search_steps", "search_exhausted"
+)
+FINITE_CORPUS = ("SL2_F2", "SL2_F3", "SL2_F5", "SL2_ZI", "SL2_ZOMEGA")
+
+
+def test_both_routes_give_the_same_record(monkeypatch):
+    cells = [(corpus(name), p) for name in FINITE_CORPUS for p in (2, 3, 5, 7)]
+    cells += [(pres, p) for pres in ORACLE_GROUPS for p in (2, 3, 5, 7)]
+
+    def records():
+        out = []
+        for pres, p in cells:
+            record = to_json(run_pipeline(pres, p))
+            budget = record["budget"]
+            out.append((record, {k: budget.pop(k) for k in ROUTE_KEYS}))
+        return out
+
+    by_table = records()
+    monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
+    by_completion = records()
+    for (pres, p), (table, table_keys), (completion, completion_keys) in zip(
+        cells, by_table, by_completion
+    ):
+        cell = (pres.name, p)
+        assert table_keys["cover_rules"] == 0 < completion_keys["cover_rules"], cell
+        assert table == completion, cell
+        assert table["h2_kind"] == "exact", cell
 
 
 def test_zero_h2_is_exact():

@@ -190,37 +190,65 @@ def test_check_agrees_on_corpus_groups():
         assert rep["pipeline_kind"] == "exact"
 
 
+BINARY_ICOSAHEDRAL = parse_presentation(
+    "gens: a b\nrel: a^2*b^-3\nrel: a^2*(a*b)^-5\nrel: a^4\n", name="2I"
+)
+A5 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: (a*b)^5\n", name="A5")
+S4 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: (a*b)^4\n", name="S4")
+
+
 def test_check_passes_where_the_pipeline_bound_is_loose():
-    # at p = 5 the pipeline reports h2 <= 1 for both; the true value is 0
-    binary_icosahedral = parse_presentation(
-        "gens: a b\nrel: a^2*b^-3\nrel: a^2*(a*b)^-5\nrel: a^4\n", name="2I"
-    )
-    a5 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: (a*b)^5\n", name="A5")
+    # the pipeline reports h2 = 0 exactly at p = 5 for both, from the
+    # cover table; before the table route it reported h2 <= 1 there
     for pres, p, dims in (
-        (binary_icosahedral, 2, (0, 0)),
-        (binary_icosahedral, 5, (0, 0)),
-        (a5, 2, (0, 1)),
-        (a5, 5, (0, 0)),
+        (BINARY_ICOSAHEDRAL, 2, (0, 0)),
+        (BINARY_ICOSAHEDRAL, 5, (0, 0)),
+        (A5, 2, (0, 1)),
+        (A5, 5, (0, 0)),
     ):
         rep = oracle.check(pres, p)
         assert rep["verdict"] == "pass", rep
         assert (rep["oracle_h1"], rep["oracle_h2"]) == dims, rep
 
 
+def test_the_cover_table_makes_the_loose_cells_exact():
+    # the completion route reported h2 <= 1 on each, the true value being 0
+    for pres, p in (
+        (BINARY_ICOSAHEDRAL, 3),
+        (BINARY_ICOSAHEDRAL, 5),
+        (BINARY_ICOSAHEDRAL, 7),
+        (A5, 5),
+        (A5, 7),
+        (S4, 7),
+    ):
+        rep = oracle.check(pres, p)
+        assert rep["verdict"] == "pass", rep
+        assert (rep["pipeline_kind"], rep["pipeline_h2"], rep["oracle_h2"]) == (
+            "exact", 0, 0
+        ), rep
+
+
 def test_check_completes_the_base_once(monkeypatch):
+    # the oracle and the pipeline each complete the base, and share no
+    # completion; SL2_F2's cover comes from its coset table, not from
+    # a completion
+    pres = corpus("SL2_F2")
     calls = []
 
     def counted(site, complete):
         def knuth_bendix(rws, budget):
-            calls.append(site)
-            return complete(rws, budget)
+            done = complete(rws, budget)
+            kind = "base" if rws.relators == pres.relators else "cover"
+            calls.append((site, kind, done))
+            return done
 
         return knuth_bendix
 
-    monkeypatch.setattr(oracle, "knuth_bendix", counted("base", oracle.knuth_bendix))
-    monkeypatch.setattr(hopf, "knuth_bendix", counted("cover", hopf.knuth_bendix))
-    assert oracle.check(corpus("SL2_F2"), 2)["verdict"] == "pass"
-    assert calls == ["base", "cover"]
+    monkeypatch.setattr(oracle, "knuth_bendix", counted("oracle", oracle.knuth_bendix))
+    monkeypatch.setattr(hopf, "knuth_bendix", counted("pipeline", hopf.knuth_bendix))
+    assert oracle.check(pres, 2)["verdict"] == "pass"
+    assert [call[:2] for call in calls] == [("oracle", "base"), ("pipeline", "base")]
+    assert calls[0][2] is not calls[1][2]
 
 
 def no_pipeline(*args, **kwargs):
