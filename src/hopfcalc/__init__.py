@@ -7,6 +7,7 @@ certified upper bound when the rewriting budget runs out.  See
 command-line front end.
 """
 
+from .cosets import CosetTable
 from .fplinalg import as_fp, left_kernel_basis, rank, rref
 from .hopf import (
     ORDER_CAP,
@@ -20,7 +21,7 @@ from .hopf import (
     run_pipeline,
     to_json,
 )
-from .oracle import DEFAULT_CAP, MultTable, OracleUnavailable, bar_h1, bar_h2, check, multiplication_table
+from .oracle import DEFAULT_CAP, OracleUnavailable, bar_h1, bar_h2, check, multiplication_table
 from .presentation import (
     ParseError,
     Presentation,
@@ -56,10 +57,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundKind",
     "Budget",
+    "CosetTable",
     "DEFAULT_BUDGET",
     "DEFAULT_CAP",
     "HopfResult",
-    "MultTable",
     "ORDER_CAP",
     "OracleUnavailable",
     "Overflow",

@@ -69,7 +69,8 @@ def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
     """Raise ArithmeticError unless the table is an action in which the relators hold.
 
     Each column must be a permutation of the cosets that the inverse
-    letter's column undoes, and each relator must fix every coset.
+    letter's column undoes, and each relator must fix every coset, so
+    a relator with a letter that has no column does not hold.
     """
     n = table.order
     if any(len(col) != n for col in table.columns):
@@ -82,6 +83,8 @@ def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
         if not np.array_equal(cols[x ^ 1][cols[x]], everyone):
             raise ArithmeticError(f"letter {x ^ 1} does not undo letter {x} in the table")
     for i, w in enumerate(relators):
+        if max(w, default=0) >= len(cols):
+            raise ArithmeticError(f"relator {i} has a letter outside the table")
         end = everyone
         for x in w:
             end = cols[x][end]

@@ -1,27 +1,27 @@
 """Cross-check of the homology pipeline on finite groups.
 
 A confluent rewriting system enumerates the group and tabulates the
-right action of each letter.  From that table come, over F_p, the
-Fox-derivative boundary D2 of the universal cover of the presentation
-complex (Fox, Ann. Math. 57, 1953; Brown, GTM 87, II.5) and the
-augmentation ideal I of F_p[G]; h1 = dim I/I^2 and, by Hopf's formula,
-h2 = (r - rank E) - rank eps(ker D2), from ranks alone.  The matrices
-grow with |G|.  The oracle completes the base itself and the pipeline
+right action of each letter as a ``cosets.CosetTable``.  From that
+table come, over F_p, the Fox-derivative boundary D2 of the universal
+cover of the presentation complex (Fox, Ann. Math. 57, 1953; Brown,
+GTM 87, II.5) and the augmentation ideal I of F_p[G]; h1 = dim I/I^2
+and, by Hopf's formula, h2 = (r - rank E) - rank eps(ker D2), from
+ranks alone.  The matrices grow with |G|.  The oracle completes the base itself and the pipeline
 completes its own, so the two share no completion object.  They still
 share the routines: ``knuth_bendix`` and the element enumeration (the
 pipeline counts its base through them, the oracle builds its table),
-``fplinalg.rank`` and ``fplinalg.kernel_image``, and a fault there can
-hide from the oracle.  They share nothing with the p-cover, its coset
-table, the spanning-set search or the removal certificates.
+the table type with ``check_table`` and ``walk``, and
+``fplinalg.rank`` and ``fplinalg.kernel_image``; a fault there can
+hide from the oracle.  They share nothing with the coset enumerator,
+the p-cover, the spanning-set search or the removal certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fplinalg
+from .cosets import CosetTable, check_table, walk
 from .hopf import BoundKind, run_pipeline
 from .presentation import Presentation
 from .rewrite import (
@@ -44,51 +44,36 @@ class OracleUnavailable(Exception):
     """The oracle cannot handle this input."""
 
 
-@dataclass(frozen=True)
-class MultTable:
-    """Finite group as the right action of each letter on its elements.
+def multiplication_table(rws: RewriteSystem, cap: int) -> CosetTable:
+    """Enumerate a confluent system into the coset table of its right regular action.
 
-    Elements are indices into the shortlex-ordered list of irreducible
-    words, so the identity is always index 0.  ``right[g][x]`` is the
-    index of g*x for the letter x (``words`` letter numbering).
-    """
-
-    order: int
-    right: tuple[tuple[int, ...], ...]
-
-
-def multiplication_table(rws: RewriteSystem, cap: int) -> MultTable:
-    """Enumerate a confluent system into a MultTable.
-
-    Raises ValueError on a non-confluent system and Overflow when the
-    element count exceeds the cap.  Raises ArithmeticError unless each
-    letter's inverse undoes its action, which makes every letter a
-    permutation, and each element's own letters lead from the identity
-    to it, which makes the action the regular one.
+    Coset i is the i-th irreducible word in shortlex order, so coset 0
+    is the identity.  Raises ValueError on a non-confluent system and
+    Overflow when the element count exceeds the cap.  Raises
+    ArithmeticError unless the table passes ``check_table``, which makes
+    every letter a permutation, and each element's own letters lead
+    from the identity to it, which makes the action the regular one.
     """
     if not rws.confluent:
         raise ValueError("multiplication table requires a confluent system")
     elements = enumerate_elements(rws, cap)
     index = {w: i for i, w in enumerate(elements)}
-    letters = range(2 * rws.arity)
-    right = tuple(
-        tuple(index[normal_form(rws, w + (x,))] for x in letters) for w in elements
+    columns = tuple(
+        tuple(index[normal_form(rws, w + (x,))] for w in elements)
+        for x in range(2 * rws.arity)
     )
-    for g, row in enumerate(right):
-        if any(right[h][x ^ 1] != g for x, h in enumerate(row)):
-            raise ArithmeticError(f"a letter's inverse does not undo it at element {g}")
+    table = CosetTable(len(elements), columns, 0)
+    check_table(table, ())
     for i, w in enumerate(elements):
-        g = 0
-        for x in w:
-            g = right[g][x]
+        g = walk(table, 0, w)
         if g != i:
             raise ArithmeticError(f"the letters of element {i} lead to element {g}")
-    return MultTable(order=len(elements), right=right)
+    return table
 
 
 # perfbench/spans.py wraps bar_h1 and bar_h2 by name, so they keep the
 # names of the bar-complex oracle they replaced until the benchmark changes
-def bar_h1(t: MultTable, p: int) -> int:
+def bar_h1(t: CosetTable, p: int) -> int:
     """dim H_1(G;F_p) = dim I/I^2, I the augmentation ideal of F_p[G].
 
     I^2 is spanned by (g - 1)(x - 1) = gx - g - x + 1 over the elements g
@@ -96,8 +81,9 @@ def bar_h1(t: MultTable, p: int) -> int:
     each is its group-basis column with the identity coordinate dropped.
     """
     fplinalg.require_prime(p)
-    act = np.array(t.right, dtype=np.int64)[:, ::2]
-    n, k = act.shape
+    n, k = t.order, len(t.columns) // 2
+    # the reshape keeps act (n, k) when there are no generators
+    act = np.array(t.columns[::2], dtype=np.int64).reshape(k, n).T
     span = np.zeros((n, n * k), dtype=np.int64)
     cols = np.arange(n * k)
     np.add.at(span, (act.ravel(), cols), 1)
@@ -106,7 +92,7 @@ def bar_h1(t: MultTable, p: int) -> int:
     return (n - 1) - fplinalg.rank(span[1:], p)
 
 
-def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
+def bar_h2(t: CosetTable, relators: tuple[Word, ...], p: int) -> int:
     """dim H_2(G;F_p) from the Fox-derivative boundary D2 over F_p.
 
     Row (g, i) of D2 is g * d(r_i)/d(x_j) written in the group basis,
@@ -114,10 +100,13 @@ def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
     augmentation block (row (g, i) has a 1 in column i), rank eps(ker D2)
     is the rank of the A parts of the rows that die on the D2 columns
     when [D2 | A] is reduced there, in one elimination of D2.
-    Raises ArithmeticError for a relator that does not hold in ``t``.
+    Raises ArithmeticError, from ``check_table``, unless ``t`` is an
+    action in which every relator holds.
     """
     fplinalg.require_prime(p)
-    order, k, r = t.order, len(t.right[0]) // 2, len(relators)
+    check_table(t, relators)
+    order, k, r = t.order, len(t.columns) // 2, len(relators)
+    columns = t.columns
     d2 = np.zeros((order * r, order * k), dtype=np.int64)
     for g in range(order):
         for i, rel in enumerate(relators):
@@ -125,13 +114,11 @@ def bar_h2(t: MultTable, relators: tuple[Word, ...], p: int) -> int:
             h = g
             for x in rel:
                 if x & 1:
-                    h = t.right[h][x]
+                    h = columns[x][h]
                     row[h * k + (x >> 1)] -= 1
                 else:
                     row[h * k + (x >> 1)] += 1
-                    h = t.right[h][x]
-            if h != g:
-                raise ArithmeticError(f"relator {i} does not hold in the table")
+                    h = columns[x][h]
     # the identity rows summed over the column blocks are the exponent sums
     exponents = d2[:r].reshape(r, order, k).sum(axis=1)
     augment = np.tile(np.eye(r, dtype=np.int64), (order, 1))

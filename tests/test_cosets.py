@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfcalc import cosets
+from hopfcalc import cosets, oracle
 from hopfcalc.hopf import ORDER_CAP, BoundKind, build_p_cover, run_pipeline
 from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import group_order, initial_rules, knuth_bendix
@@ -135,6 +135,9 @@ def test_a_table_that_is_not_an_action_of_the_relators_is_refused():
         cosets.check_table(dataclasses.replace(table, columns=out_of_range), ())
     with pytest.raises(ArithmeticError, match="not a map"):
         cosets.check_table(dataclasses.replace(table, order=7), ())
+    # Z6 has one generator, so letter 2 has no column
+    with pytest.raises(ArithmeticError, match="relator 1 has a letter outside"):
+        cosets.check_table(table, (Z6.relators[0], (2,)))
 
 
 def test_cosets_imports_nothing_from_the_rewriting_engine():
@@ -150,3 +153,19 @@ def test_cosets_imports_nothing_from_the_rewriting_engine():
     for name in imported:
         parts = name.split(".")
         assert "rewrite" not in parts and "automaton" not in parts, name
+
+
+def test_the_oracle_takes_the_table_but_not_the_enumerator_from_cosets():
+    # the oracle builds its table from its own rewriting system, so it
+    # stays an independent check of the enumerator
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            assert not names & {"cosets", "enumerate_cosets"}, node.module
+            if (node.module or "").split(".")[-1] == "cosets":
+                taken |= names
+        elif isinstance(node, ast.Import):
+            assert all("cosets" not in a.name.split(".") for a in node.names)
+    assert taken == {"CosetTable", "check_table", "walk"}

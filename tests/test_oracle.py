@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hopfcalc import fplinalg, hopf, oracle, words
-from hopfcalc.presentation import corpus, parse_presentation
+from hopfcalc import cosets, fplinalg, hopf, oracle, words
+from hopfcalc.presentation import Presentation, corpus, parse_presentation
 from hopfcalc.rewrite import (
     Budget,
     enumerate_elements,
@@ -107,24 +107,33 @@ def test_table_structure():
     assert Z6_TABLE.order == 6
     tables = ((Z6, Z6_TABLE), (S3, S3_TABLE), (KLEIN, KLEIN_TABLE), (Q8, Q8_TABLE))
     for pres, t in tables:
-        n = t.order
-        for x in range(2 * pres.arity):
-            column = [t.right[g][x] for g in range(n)]
-            assert sorted(column) == list(range(n))
-            assert [t.right[h][x ^ 1] for h in column] == list(range(n))
-        elements = enumerate_elements(knuth_bendix(initial_rules(pres)), n)
+        # every letter a permutation undone by its inverse, every relator trivial
+        cosets.check_table(t, pres.relators)
+        elements = enumerate_elements(knuth_bendix(initial_rules(pres)), t.order)
         # bar_h1 and bar_h2 read element 0 as the identity
         assert elements[0] == words.EMPTY
-        for i, w in enumerate(elements):
-            g = 0
-            for x in w:
-                g = t.right[g][x]
-            assert g == i
+        assert [cosets.walk(t, 0, w) for w in elements] == list(range(t.order))
+
+
+def test_enumerated_tables_give_the_oracle_values():
+    # the coset enumerator and the rewriting engine are independent
+    # producers of the same regular action
+    for pres in SMALL_GROUPS:
+        kb = table_for(pres)
+        enumerated = cosets.enumerate_cosets(
+            pres.relators, pres.arity, 20_000, oracle.DEFAULT_CAP
+        )
+        cosets.check_table(enumerated, pres.relators)
+        assert enumerated.order == kb.order, pres.name
+        for p in (2, 3, 5, 7):
+            assert homology(pres, enumerated, p) == homology(pres, kb, p), (pres.name, p)
 
 
 def test_h2_rejects_a_relator_the_table_does_not_satisfy():
-    with pytest.raises(ArithmeticError):
-        oracle.bar_h2(Z6_TABLE, ((0, 0, 0, 0),), 2)
+    # a^4, and a letter of a second generator that Z6's table lacks
+    for relator in ((0, 0, 0, 0), (2,)):
+        with pytest.raises(ArithmeticError):
+            oracle.bar_h2(Z6_TABLE, (relator,), 2)
 
 
 def test_table_requires_confluence():
@@ -266,6 +275,14 @@ def test_check_unavailable_when_the_base_does_not_complete(monkeypatch):
     monkeypatch.setattr(oracle, "run_pipeline", no_pipeline)
     with pytest.raises(oracle.OracleUnavailable, match="no confluent rewriting system"):
         oracle.check(corpus("SL2_F3"), 3, Budget(max_steps=10))
+
+
+def test_check_passes_on_no_generators():
+    # the trivial group's table has no columns, which bar_h1 must still read
+    for p in (2, 3, 5, 7):
+        rep = oracle.check(Presentation((), ()), p)
+        assert rep["verdict"] == "pass", rep
+        assert (rep["oracle_h1"], rep["oracle_h2"]) == (0, 0), rep
 
 
 def test_check_unavailable_when_order_exceeds_cap():

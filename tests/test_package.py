@@ -9,10 +9,10 @@ import hopfcalc
 PUBLIC = {
     "BoundKind",
     "Budget",
+    "CosetTable",
     "DEFAULT_BUDGET",
     "DEFAULT_CAP",
     "HopfResult",
-    "MultTable",
     "ORDER_CAP",
     "OracleUnavailable",
     "Overflow",
