@@ -273,14 +273,14 @@ def _bounded(value: int, kind: BoundKind) -> str:
 def cmd_compute(args) -> int:
     pres = _load_presentation(args)
     budget = _budget(args)
-    # with --dump-rules the base is completed here, once, for the
-    # pipeline and the dump; else the pipeline completes it
-    base = knuth_bendix(initial_rules(pres), budget) if args.dump_rules else None
-    result = run_pipeline(pres, args.prime, budget, base=base)
-    if base is not None:
+    # the dump comes first: the pipeline completes the same base again,
+    # and an unwritable path fails before the whole computation
+    if args.dump_rules:
+        base = knuth_bendix(initial_rules(pres), budget)
         Path(args.dump_rules).write_text(
             dump_rules(base, pres.generators), encoding="utf-8"
         )
+    result = run_pipeline(pres, args.prime, budget)
     if args.dump_matrix:
         mat = image_matrix(result.spanning_set, pres.arity, args.prime)
         lines = [f"# rows: {mat.shape[0]}  cols: {mat.shape[1]}  prime: {args.prime}"]

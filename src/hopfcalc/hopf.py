@@ -165,9 +165,11 @@ def _order_dim_a(
 ) -> int | None:
     """Exact dim A by order counting, or None when that is out of reach.
 
-    When both the group and its cover yield confluent systems whose
-    element counts stay under the cap, the ratio of the two orders is
-    p^{dim A}.  A missing order returns None: unknown, not zero.
+    The group's order comes from its confluent system, the cover's from
+    the size of its coset table on the table route or from its confluent
+    system on the completion route; when both stay under the cap, the
+    ratio of the two orders is p^{dim A}.  A missing order returns None:
+    unknown, not zero.
     """
     if base_order is None or cover_order is None:
         return None
@@ -429,8 +431,6 @@ def run_pipeline(
     pres: Presentation,
     p: int,
     budget: Budget = DEFAULT_BUDGET,
-    *,
-    base: RewriteSystem | None = None,
 ) -> HopfResult:
     """Run the whole computation for one presentation at one prime.
 
@@ -452,21 +452,9 @@ def run_pipeline(
     enumeration that gives up, takes the completion route: the cover is
     completed and counted, and ``_reduce_spanning`` shrinks the
     relators under certificates.
-
-    ``base``, when given, is the system
-    ``knuth_bendix(initial_rules(pres), budget)`` returned, which the
-    pipeline then reads in place of completing the base again: the
-    completion is deterministic, so the result is the same.  A system
-    completed from other relators or under another budget is a
-    ``ValueError``.
     """
     fplinalg.require_prime(p)
-    if base is None:
-        base = knuth_bendix(initial_rules(pres), budget)
-    elif (base.arity, base.relators, base.budget) != (pres.arity, pres.relators, budget):
-        raise ValueError(
-            "base was not completed from this presentation's relators under this budget"
-        )
+    base = knuth_bendix(initial_rules(pres), budget)
     base_order = group_order(base, ORDER_CAP)
     cover_pres = build_p_cover(pres, p)
 

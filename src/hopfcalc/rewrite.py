@@ -236,10 +236,6 @@ class RewriteSystem:
             )
         self.arity = arity
         self.rules: dict[int, tuple[bytes, bytes]] = {}
-        # what the system was made from: the relators ``initial_rules``
-        # oriented and the budget ``knuth_bendix`` completed it under
-        self.relators: tuple[Word, ...] | None = None
-        self.budget: Budget | None = None
         # one slot per letter: a child node, a rule id (a leaf) or None
         self._trie: list = [None] * (2 * arity)
         # proper prefix / proper suffix of a live left side -> the ids of
@@ -560,16 +556,13 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
     confluence flag is only set for the relator-free case, where the
     inverse rules alone are confluent.
 
-    The relators are recorded on the system, for ``run_pipeline`` to
-    check a base it is handed against.  No budget bounds this
-    orientation.  Every relator rule is installed
+    No budget bounds this orientation.  Every relator rule is installed
     whatever its length, beyond any ``max_rule_length``, and the rewrites
     and inserts it takes are charged to ``steps`` without a check
     against any ``max_steps``, so a ``knuth_bendix`` that follows starts
     with them spent (see ``Budget``).
     """
     rws = RewriteSystem(pres.arity)
-    rws.relators = pres.relators
     trivial = True
     for r in pres.relators:
         oriented = orient_relator(r)
@@ -617,9 +610,7 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     False, since ``limited`` stays set.  A finished system must not be
     inserted into; the prefix index stays, since the prefix automaton
     reads it, and so does an automaton that ``_nf`` built after the last
-    insert, since it is that of the returned rules.  The budget is
-    recorded on the system, for ``run_pipeline`` to check a base it is
-    handed against.
+    insert, since it is that of the returned rules.
     """
     while True:
         if rws.steps >= budget.max_steps:
@@ -657,7 +648,6 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     rws._pairs, rws._heads, rws._shortest, rws._queued = [], [], 0, 0
     rws._sides = rws._starts = rws._ids = None
     rws._suffixes = {}
-    rws.budget = budget
     return rws
 
 

@@ -12,7 +12,14 @@ import pytest
 
 from hopfcalc import cli
 from hopfcalc.oracle import OracleUnavailable
-from hopfcalc.rewrite import DEFAULT_BUDGET
+from hopfcalc.presentation import corpus
+from hopfcalc.rewrite import (
+    DEFAULT_BUDGET,
+    Budget,
+    dump_rules,
+    initial_rules,
+    knuth_bendix,
+)
 
 UB_PRES = "gens: a b\nrel: [a,b]^2\n"
 
@@ -120,6 +127,44 @@ def test_dump_rules_is_pinned(tmp_path, capsys, argv, sha256):
     code, _, _ = run(capsys, "compute", *argv, "--dump-rules", str(rules))
     assert code == 0
     assert hashlib.sha256(rules.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "name, p, budget",
+    [
+        ("SL2_F3", 3, DEFAULT_BUDGET),
+        ("GL2_Z", 5, Budget(max_steps=120000)),
+        ("SL2Z7Z7_6GEN", 7, Budget(max_steps=30000)),
+    ],
+    ids=["finite", "budget-limited", "flagship"],
+)
+def test_dump_rules_leaves_the_record_alone(tmp_path, capsys, name, p, budget):
+    argv = ["compute", "--corpus", name, "--prime", str(p), "--format", "json",
+            "--budget-steps", str(budget.max_steps)]
+    rules = tmp_path / "rules.txt"
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    assert run(capsys, *argv, "--dump-rules", str(rules)) == plain
+    pres = corpus(name)
+    expected = dump_rules(knuth_bendix(initial_rules(pres), budget), pres.generators)
+    assert rules.read_text(encoding="utf-8") == expected
+
+
+def test_dump_rules_is_written_before_the_run(monkeypatch, tmp_path, capsys):
+    def failing(pres, p, budget):
+        raise ArithmeticError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", failing)
+    argv = ["compute", "--corpus", "SL2_F2", "--prime", "2", "--dump-rules"]
+    # an unwritable path exits 2 before the pipeline is called
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "rules.txt"))
+    assert code == 2
+    assert "rules.txt" in err
+    # a pipeline that raises leaves the rules file written
+    rules = tmp_path / "rules.txt"
+    with pytest.raises(ArithmeticError, match="the pipeline ran"):
+        cli.main(argv + [str(rules)])
+    assert rules.read_text(encoding="utf-8").startswith("# confluent: true")
 
 
 def test_usage_errors_exit_1(capsys):

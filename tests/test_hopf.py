@@ -340,40 +340,6 @@ def test_pipeline_is_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize(
-    "name, p, budget",
-    [
-        ("SL2_F3", 3, Budget()),
-        ("GL2_Z", 5, Budget(max_steps=120000)),
-        ("SL2Z7Z7_6GEN", 7, Budget(max_steps=30000)),
-    ],
-    ids=["finite", "budget-limited", "flagship"],
-)
-def test_a_handed_base_gives_the_same_record(name, p, budget):
-    pres = corpus(name)
-    base = knuth_bendix(initial_rules(pres), budget)
-    handed = json.dumps(to_json(run_pipeline(pres, p, budget, base=base)))
-    assert handed == json.dumps(to_json(run_pipeline(pres, p, budget)))
-
-
-def test_a_base_from_elsewhere_is_refused():
-    budget = Budget(max_steps=5000)
-    for base in (
-        knuth_bendix(initial_rules(TORUS), budget),  # other relators
-        knuth_bendix(initial_rules(Z5), Budget(max_steps=5001)),  # other budget
-        initial_rules(Z5),  # never completed
-    ):
-        with pytest.raises(ValueError, match="base was not completed"):
-            run_pipeline(Z5, 5, budget, base=base)
-    # the same relators over one more generator
-    wider = parse_presentation("gens: a b\nrel: a^5\n", name="Z5xZ")
-    with pytest.raises(ValueError, match="base was not completed"):
-        run_pipeline(wider, 5, budget, base=knuth_bendix(initial_rules(Z5), budget))
-    # an equal budget and an equal presentation, as other objects, are accepted
-    base = knuth_bendix(initial_rules(parse_presentation("gens: a\nrel: a^5\n")), budget)
-    assert run_pipeline(Z5, 5, Budget(max_steps=5000), base=base).h2_value == 1
-
-
 def pinned_cells():
     """The 45 pinned cells, as (presentation, prime, budget).
 
