@@ -1,19 +1,22 @@
-"""Coset enumeration: the regular action of a finite presented group.
+"""Coset enumeration: a finite presented group acting on a subgroup's cosets.
 
 Todd and Coxeter (1936), in the HLT form with lookahead (Holt, Eick and
 O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 5).  The
-subgroup is trivial, so the cosets are the group's elements and a
-complete table is its right regular action: coset c times letter x is
-``columns[x][c]``, in the ``words`` letter numbering, and coset 0 is
-the identity.
+subgroup H is given by words, and coset c times letter x is
+``columns[x][c]``, in the ``words`` letter numbering; coset 0 is H
+itself.  A complete table is the right action on the cosets Hg, so it
+has |G|/|H| of them; with no subgroup words H is trivial, the cosets
+are the group's elements and the table is its right regular action.
 
-HLT takes the live cosets in order.  At each it traces every relator,
-shortest first, forward and backward as far as the table is defined.
-Where the two ends meet it merges them if they differ, where one entry
-is missing it deduces it, and elsewhere it defines a new coset and goes
-on.  Then it defines the coset's missing entries.  Merged cosets go through one
-coincidence queue, the smaller number surviving, so coset 0 never dies.
-The table is complete when HLT passes the last coset.
+HLT first traces each subgroup word at coset 0, defining cosets along
+it until it closes there.  Then it takes the live cosets in order.  At
+each it traces every relator, shortest first, forward and backward as
+far as the table is defined.  Where the two ends meet it merges them if
+they differ, where one entry is missing it deduces it, and elsewhere it
+defines a new coset and goes on.  Then it defines the coset's missing
+entries.  Merged cosets go through one coincidence queue, the smaller
+number surviving, so coset 0 never dies and the subgroup words stay
+closed at it.  The table is complete when HLT passes the last coset.
 
 Work is counted in coset definitions, and the enumeration gives up when
 they would pass their limit.  Memory is bounded by ``SPACE`` times the
@@ -25,9 +28,11 @@ table has more cosets than the cap.
 
 A table whose columns are permutations, each undone by its inverse
 letter's column, and whose relators fix every coset is a transitive
-action of the presented group, so its size is a lower bound on the
-group order; ``check_table`` proves that much.  That the action is the
-regular one, and its size the order, rests on the enumeration.
+action of the presented group, so its size is the index of the
+stabilizer of coset 0; ``check_table`` proves that much.  Words that
+fix coset 0 lie in that stabilizer, so the group order is at least the
+size times the order of the subgroup they generate.  That the
+stabilizer is H itself, and the size |G|/|H|, rests on the enumeration.
 """
 
 from __future__ import annotations
@@ -93,13 +98,19 @@ def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
 
 
 def enumerate_cosets(
-    relators: Sequence[Word], arity: int, max_definitions: int, cap: int
+    relators: Sequence[Word],
+    arity: int,
+    max_definitions: int,
+    cap: int,
+    subgroup: Sequence[Word] = (),
 ) -> CosetTable | None:
-    """The coset table of the trivial subgroup, or None when the enumeration gives up.
+    """The coset table of the subgroup that ``subgroup`` generates, or None on giving up.
 
-    It gives up after ``max_definitions`` coset definitions, when a
-    lookahead leaves less than a quarter of ``SPACE * cap`` numbered
-    cosets free, or when the complete table has more than ``cap``.
+    The subgroup words are traced at coset 0 before the relators, and
+    their definitions count with the others.  It gives up after
+    ``max_definitions`` coset definitions, when a lookahead leaves less
+    than a quarter of ``SPACE * cap`` numbered cosets free, or when the
+    complete table has more than ``cap``.
     """
     letters = range(2 * arity)
     cols: list[list[int]] = [[-1] for _ in letters]
@@ -199,6 +210,8 @@ def enumerate_cosets(
 
     a = 0
     try:
+        for w in subgroup:
+            trace(0, [cols[x] for x in w], [cols[x ^ 1] for x in w], w, True)
         while a < len(fwd):
             if len(fwd) + per_coset > space:
                 # cosets before a are finished: every relator closes at them

@@ -12,17 +12,18 @@ What keeps the pipeline honest is the bound kind.  The spanning set
 is a set of relators whose size m bounds dim A from above, so ``m minus
 image rank`` bounds h2.  It comes by one of two routes.  When the group
 has a known finite order |G| and its cover may fit under ``ORDER_CAP``,
-the cover is enumerated as a coset table (``cosets``): its size |C|
-gives dim A, with p^(dim A) = |C|/|G|, and the relators whose elements
-of A are independent, taken from the last relator back, are the
-spanning set, so m is dim A.  Otherwise, and whenever the enumeration
-gives up, the cover is completed as a rewriting system and the spanning
-set starts as the full relator list and only ever shrinks under
-replayable certificates.  The search that shrinks it makes one pass
-over the members in input order: members only leave, so a second pass
-would retest each survivor on a subset of its candidate products, whose
-normal forms in the finished cover system do not change, and would
-remove nothing.  From below, certified sources bound dim A: order
+the cover is enumerated as a coset table (``cosets``) over a subgroup
+H of order prime to p that meets A trivially, so A acts freely on the
+|C|/|H| cosets: |C| gives dim A, with p^(dim A) = |C|/|G|, and the
+relators whose elements of A are independent, taken from the last
+relator back, are the spanning set, so m is dim A.  Otherwise, and
+whenever an enumeration gives up, the cover is completed as a rewriting
+system and the spanning set starts as the full relator list and only
+ever shrinks under replayable certificates.  The search that shrinks it
+makes one pass over the members in input order: members only leave, so
+a second pass would retest each survivor on a subset of its candidate
+products, whose normal forms in the finished cover system do not
+change, and would remove nothing.  From below, certified sources bound dim A: order
 counting gives dim A itself, the group counted through its confluent
 system and the cover through its coset table or its confluent system;
 A maps onto the relators' image in F_p^n, so the image rank is one; and
@@ -166,8 +167,9 @@ def _order_dim_a(
     """Exact dim A by order counting, or None when that is out of reach.
 
     The group's order comes from its confluent system, the cover's from
-    the size of its coset table on the table route or from its confluent
-    system on the completion route; when both stay under the cap, the
+    its coset table on the table route (the table's size times the order
+    of the subgroup it was enumerated over) or from its confluent system
+    on the completion route; when both stay under the cap, the
     ratio of the two orders is p^{dim A}.  A missing order returns None:
     unknown, not zero.
     """
@@ -427,6 +429,103 @@ def _table_basis(
     return kept[::-1], len(span)
 
 
+def _p_prime_subgroup(table: CosetTable, p: int) -> tuple[list[Word], int]:
+    """Words u_i = x_i^(p^(s+1)) whose images generate a p′-subgroup Q of G, and |Q|.
+
+    ``table`` is the group's right regular action, so coset 0 is the
+    identity, the cycle of x_i's column through it has ord(x_i) cosets,
+    and the orbit of coset 0 under a subgroup is that subgroup.  With
+    ord(x_i) = p^s·m and p not dividing m, u_i has order m; each u_i
+    with m > 1 is kept, in generator order, while the orbit of coset 0
+    under the kept images stays of order prime to p.
+    """
+    columns = [np.asarray(col) for col in table.columns[::2]]
+    kept: list[Word] = []
+    perms: list[list[int]] = []
+    q_order = 1
+    for i, col in enumerate(columns):
+        order, c = 1, int(col[0])
+        while c:
+            c, order = int(col[c]), order + 1
+        k = p
+        while order % p == 0:
+            order //= p
+            k *= p
+        if order == 1:
+            continue
+        # the permutation col^k, by repeated squaring
+        perm, square, e = np.arange(table.order), col, k
+        while e:
+            if e & 1:
+                perm = square[perm]
+            square, e = square[square], e >> 1
+        trial = perms + [perm.tolist()]
+        orbit, seen = [0], {0}
+        for c in orbit:  # grows while it is read
+            for image in trial:
+                if image[c] not in seen:
+                    seen.add(image[c])
+                    orbit.append(image[c])
+        if len(orbit) % p:
+            kept.append(words.power((words.positive_letter(i),), k))
+            perms, q_order = trial, len(orbit)
+    return kept, q_order
+
+
+def _cover_table(
+    pres: Presentation,
+    cover_pres: Presentation,
+    base_order: int,
+    p: int,
+    budget: Budget,
+) -> tuple[CosetTable, int, int] | None:
+    """The cover's coset table over a p′-subgroup H, |H|, and the definitions it took.
+
+    None when an enumeration gives up.  The base is enumerated first,
+    over the trivial subgroup, and its table must pass ``check_table``
+    and have the counted order |G|, which makes it the regular action.
+    ``_p_prime_subgroup`` reads from it the words u_i, whose images in
+    G generate a subgroup Q of order prime to p.  The cover C is then
+    enumerated over H = ⟨u_i⟩, with the definitions the base left and
+    the cap ``ORDER_CAP // |Q|``, so its table has |C|/|Q| cosets.
+
+    Why it is sound.  Let ord_G(x_i) = p^s·m with p not dividing m.
+    x_i^(p^s·m) is trivial in G, so in C it lies in A = K/K^p[F,K],
+    which has exponent p; so u_i^m = 1 in C, and u_i's image in G has
+    order m, so ord_C(u_i) = m.  The preimage of Q in C is an extension
+    of Q by the central p-group A, with |Q| prime to p, so it splits as
+    A × Q₀ (Schur–Zassenhaus), and Q₀ holds its elements of order prime
+    to p.  So each u_i lies in Q₀; H maps onto Q, so H = Q₀, |H| = |Q|
+    and H ∩ A = 1.  A central element a fixes a coset Hc only when
+    a ∈ H, so A acts freely on the cosets, and a relator's element of A
+    is still the coset its word leads to from coset 0.  From below,
+    ``check_table`` on the cover relators and each u_i fixing coset 0
+    certify |C| ≥ N·|H| ≥ N·|Q|, N the number of cosets; that the
+    stabilizer of coset 0 is H, so |C| = N·|Q|, rests on the enumerator
+    (coset enumeration over a subgroup: Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, ch. 5), as
+    regularity did over the trivial subgroup.
+    """
+    n = pres.arity
+    base = enumerate_cosets(pres.relators, n, budget.max_steps, ORDER_CAP)
+    if base is None:
+        return None
+    check_table(base, pres.relators)
+    if base.order != base_order:
+        raise ArithmeticError("the base's coset table and its counted order differ")
+    subgroup, q_order = _p_prime_subgroup(base, p)
+    left = budget.max_steps - base.definitions
+    table = enumerate_cosets(
+        cover_pres.relators, n, left, ORDER_CAP // q_order, subgroup
+    )
+    if table is None:
+        return None
+    check_table(table, cover_pres.relators)
+    if any(walk(table, 0, u) for u in subgroup):
+        raise ArithmeticError("a subgroup word moves coset 0 of the cover table")
+    return table, q_order, base.definitions + table.definitions
+
+
 def run_pipeline(
     pres: Presentation,
     p: int,
@@ -441,12 +540,15 @@ def run_pipeline(
     ``ArithmeticError``.
 
     Two routes lead to the spanning set.  When the base has a known
-    order |G| and |G|·p^(image rank) is within ``ORDER_CAP``, the cover
-    is enumerated as a coset table (``cosets.enumerate_cosets``, with
-    ``budget.max_steps`` coset definitions).  A table that passes
-    ``check_table`` gives the cover order, so dim A, and a basis of A
-    among the relators (``_table_basis``), which is the spanning set:
-    no cover completion, no search and no certificates.  A basis of
+    order |G| and |G|·p^(image rank) is within ``ORDER_CAP``, the base
+    and then the cover are enumerated as coset tables, the cover over a
+    subgroup H of order |Q| prime to p (``_cover_table``, which says
+    why that is sound), the two sharing ``budget.max_steps`` coset
+    definitions.  A cover table of N cosets that passes the checks
+    gives the cover order N·|Q|, so dim A, and a basis of A among the
+    relators (``_table_basis``), which is the spanning set: no cover
+    completion, no search and no certificates.  A base table of another
+    order than |G|, a subgroup word that moves coset 0, a basis of
     another size than dim A, or a span of another size than |C|/|G|,
     raises ``ArithmeticError``.  Every other input, and every
     enumeration that gives up, takes the completion route: the cover is
@@ -461,26 +563,26 @@ def run_pipeline(
     n = pres.arity
     relators = list(pres.relators)
     rows = exponent_matrix(relators, n, p)
-    table = None
+    enumerated = None
     if base_order is not None:
         # the completion route takes the image rank after completing the
         # cover, so that perfbench's search span, which starts at the
         # rank before the first normal form, does not take it in
         rank_all = fplinalg.rank(rows, p)
         if base_order * p**rank_all <= ORDER_CAP:
-            table = enumerate_cosets(cover_pres.relators, n, budget.max_steps, ORDER_CAP)
+            enumerated = _cover_table(pres, cover_pres, base_order, p, budget)
 
-    if table is not None:
-        check_table(table, cover_pres.relators)
-        cover_order = table.order
+    if enumerated is not None:
+        table, q_order, definitions = enumerated
+        cover_order = table.order * q_order
         dim_a = _order_dim_a(base_order, cover_order, p)
         live, span = _table_basis(table, relators, p)
         if len(live) != dim_a or span != cover_order // base_order:
             raise ArithmeticError("the relators' elements in the cover table do not span A")
         certs, search = (), {"steps": 0, "exhausted": False}
-        # a complete table: no rules, its coset definitions as the steps
+        # complete tables: no rules, their coset definitions as the steps
         cover_rules, cover_steps, cover_limited, confluent_cover = (
-            0, table.definitions, False, True
+            0, definitions, False, True
         )
     else:
         cover = knuth_bendix(initial_rules(cover_pres), budget)
@@ -573,9 +675,12 @@ def to_json(result: HopfResult) -> dict:
 
     The budget block has the same keys, and each value the same type, on
     both routes.  On the table route ``cover_rules`` is 0,
-    ``cover_steps`` counts the coset definitions, ``cover_limited`` and
-    ``search_exhausted`` are false, ``search_steps`` is 0, and
-    ``confluent_cover`` is true, since the cover is known completely.
+    ``cover_steps`` counts the coset definitions of the base's and the
+    cover's enumerations together, ``cover_order`` is the cover table's
+    size times the order of the subgroup it was enumerated over,
+    ``cover_limited`` and ``search_exhausted`` are false,
+    ``search_steps`` is 0, and ``confluent_cover`` is true, since the
+    cover is known completely.
     On both, ``removals`` is the relators left out of the spanning set,
     so ``h2 == initial_bound - removals``.
     """

@@ -146,9 +146,10 @@ class Budget:
     So the flagship's 7-cover (SL2Z7Z7_6GEN at p=7) under
     ``Budget(max_steps=1000)`` reports 55,435 steps, all of them spent
     orienting its relators, and keeps a left side of 231 letters.
-    ``run_pipeline`` also caps a cover's coset enumeration at
-    ``max_steps`` coset definitions, which its budget report gives as
-    ``cover_steps`` with ``cover_rules`` 0 when the cover table is used.
+    ``run_pipeline`` also caps the coset enumerations of a finite base
+    and its cover at ``max_steps`` coset definitions between them, whose
+    sum its budget report gives as ``cover_steps``, with ``cover_rules``
+    0, when the cover table is used.
     """
 
     max_rules: int = 20000

@@ -10,7 +10,7 @@ import pytest
 from hopfcalc import cosets, oracle
 from hopfcalc.hopf import ORDER_CAP, BoundKind, build_p_cover, run_pipeline
 from hopfcalc.presentation import Presentation, corpus, parse_presentation
-from hopfcalc.rewrite import group_order, initial_rules, knuth_bendix
+from hopfcalc.rewrite import Budget, group_order, initial_rules, knuth_bendix
 
 FINITE_CORPUS = ("SL2_F2", "SL2_F3", "SL2_F5", "SL2_ZI", "SL2_ZOMEGA")
 Z6 = parse_presentation("gens: a\nrel: a^6\n", name="Z6")
@@ -26,10 +26,13 @@ SMALL = [
 BINARY_ICOSAHEDRAL = parse_presentation(
     "gens: a b\nrel: a^2*b^-3\nrel: a^2*(a*b)^-5\nrel: a^4\n", name="2I"
 )
+A5 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: (a*b)^5\n", name="A5")
 
 
-def enumerate_all(pres, max_definitions=2_000_000, cap=ORDER_CAP):
-    return cosets.enumerate_cosets(pres.relators, pres.arity, max_definitions, cap)
+def enumerate_all(pres, max_definitions=2_000_000, cap=ORDER_CAP, subgroup=()):
+    return cosets.enumerate_cosets(
+        pres.relators, pres.arity, max_definitions, cap, subgroup
+    )
 
 
 def finite_presentations():
@@ -39,14 +42,18 @@ def finite_presentations():
 
 
 def test_every_column_is_a_permutation_that_its_inverse_undoes():
-    for pres in finite_presentations():
-        table = enumerate_all(pres)
+    # S3 over the subgroup <a> of order 2: three cosets, a fixing coset 0
+    s3, over_a = corpus("SL2_F2"), ((0,),)
+    for pres, subgroup in [(pres, ()) for pres in finite_presentations()] + [(s3, over_a)]:
+        table = enumerate_all(pres, subgroup=subgroup)
         n = table.order
         assert len(table.columns) == 2 * pres.arity
         for x, column in enumerate(table.columns):
             assert sorted(column) == list(range(n)), (pres.name, x)
             assert [table.columns[x ^ 1][c] for c in column] == list(range(n))
         cosets.check_table(table, pres.relators)
+        assert all(cosets.walk(table, 0, u) == 0 for u in subgroup)
+    assert enumerate_all(s3, subgroup=over_a).order == 3
 
 
 def test_enumerated_order_equals_the_counted_order():
@@ -116,6 +123,18 @@ def test_the_lookahead_keeps_the_table():
     assert tight.order == roomy.order == 1080
     assert tight.definitions < roomy.definitions
     cosets.check_table(tight, cover.relators)
+
+
+@pytest.mark.parametrize("pres", [BINARY_ICOSAHEDRAL, A5], ids=lambda pres: pres.name)
+def test_a_7_cover_over_a_p_prime_subgroup_fits_a_small_budget(pres):
+    # over the trivial subgroup the 7-covers of 2I (order 5880) and A5
+    # (order 2940) take 137,441 and 68,503 definitions; over a subgroup
+    # of order prime to 7 they fit in 20,000, and the table route is exact
+    res = run_pipeline(pres, 7, Budget(max_steps=20_000))
+    report = res.budget_report
+    assert (res.h2_value, res.h2_kind) == (0, BoundKind.EXACT)
+    assert report["cover_rules"] == 0 < report["cover_steps"] <= 20_000
+    assert report["cover_order"] == report["group_order"] * 7 ** len(res.spanning_set)
 
 
 def test_a_table_that_is_not_an_action_of_the_relators_is_refused():

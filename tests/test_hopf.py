@@ -180,14 +180,30 @@ def copies(table, k):
     return dataclasses.replace(table, order=k * n, columns=columns)
 
 
+def copies_of(relators, k, monkeypatch):
+    """Make the pipeline's enumeration of ``relators`` return k copies of its table."""
+    enumerate_cosets = hopf.enumerate_cosets
+
+    def enumerate_copies(rels, *args, **kwargs):
+        table = enumerate_cosets(rels, *args, **kwargs)
+        return copies(table, k) if tuple(rels) == tuple(relators) else table
+
+    monkeypatch.setattr(hopf, "enumerate_cosets", enumerate_copies)
+
+
 def test_table_order_above_the_relator_span_is_refused(monkeypatch):
     # five copies of Z5's 5-cover (order 25) pass the table check, but
     # order 125 over 5 claims dim A = 2 where a^5 spans one dimension
-    enumerate_cosets = hopf.enumerate_cosets
-    monkeypatch.setattr(
-        hopf, "enumerate_cosets", lambda *args: copies(enumerate_cosets(*args), 5)
-    )
+    copies_of(build_p_cover(Z5, 5).relators, 5, monkeypatch)
     with pytest.raises(ArithmeticError, match="do not span A"):
+        run_pipeline(Z5, 5)
+
+
+def test_base_table_of_another_order_than_the_count_is_refused(monkeypatch):
+    # two copies of Z5's table pass the table check, but have 10 cosets
+    # where Knuth-Bendix counted 5 elements: the table is not regular
+    copies_of(Z5.relators, 2, monkeypatch)
+    with pytest.raises(ArithmeticError, match="counted order differ"):
         run_pipeline(Z5, 5)
 
 
@@ -375,7 +391,7 @@ def test_pipeline_records_are_pinned(monkeypatch):
     monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     pin(corpus("SL2_F2"), 3, Budget())
     assert h.hexdigest() == (
-        "b1f88b45bc990e87ce1dde9f31b45b1cde055a33210074b90205234be8824ca3"
+        "168a4b1ed77de8244652a74fca043e8ae948ceab0481f4544eeea544224235c6"
     )
 
 
