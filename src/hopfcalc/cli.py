@@ -64,8 +64,6 @@ def _add_source_flags(sp):
 
 
 def _add_budget_flags(sp):
-    sp.add_argument("--budget-rules", type=int, metavar="N", default=DEFAULT_BUDGET.max_rules)
-    sp.add_argument("--budget-len", type=int, metavar="N", default=DEFAULT_BUDGET.max_rule_length)
     sp.add_argument("--budget-steps", type=int, metavar="N", default=DEFAULT_BUDGET.max_steps)
 
 
@@ -155,11 +153,7 @@ def _load_presentation(args) -> Presentation:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        max_rules=args.budget_rules,
-        max_rule_length=args.budget_len,
-        max_steps=args.budget_steps,
-    )
+    return Budget(max_steps=args.budget_steps)
 
 
 def _comma_list(raw: str, what: str) -> list[str]:

@@ -137,11 +137,15 @@ class Overflow(Exception):
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits on one ``knuth_bendix`` run: live rules, new left sides, steps.
+    """The step limit of one ``knuth_bendix`` run.
 
-    They bound completion, not the orientation of the relators before
-    it.  ``initial_rules`` installs every relator rule whatever the
-    length of its left side, and charges its rewrites and inserts to
+    It bounds the live rules too, since L of them cost at least L(L-1)
+    steps (see ``_insert``); new left sides are capped at
+    ``MAX_RULE_LENGTH`` letters.
+
+    The limit bounds completion, not the orientation of the relators
+    before it.  ``initial_rules`` installs every relator rule whatever
+    the length of its left side, and charges its rewrites and inserts to
     ``steps`` with no limit; completion then starts with them spent.
     So the flagship's 7-cover (SL2Z7Z7_6GEN at p=7) under
     ``Budget(max_steps=1000)`` reports 55,435 steps, all of them spent
@@ -152,12 +156,10 @@ class Budget:
     0, when the cover table is used.
     """
 
-    max_rules: int = 20000
-    max_rule_length: int = 64
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if min(self.max_rules, self.max_rule_length, self.max_steps) <= 0:
+        if self.max_steps <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -209,6 +211,7 @@ def orient_relator(relator: Word) -> tuple[Word, Word] | None:
 
 
 MAX_GENERATORS = 128  # a generator and its inverse take two of the 256 byte values
+MAX_RULE_LENGTH = 64  # the longest left side completion installs
 
 # _nf's switch to the prefix automaton, in letters walked since the last
 # insert per state the automaton can need.  On the SL2_Z and PSL2_Z
@@ -376,8 +379,8 @@ class RewriteSystem:
             sides += _SEP
             sides += rhs
             self._sides, self._starts, self._ids = sides, starts, ids
-        # overlap queue, charged as a scan of the other live rules so
-        # that step budgets keep their meaning
+        # two steps per other live rule: L live rules have cost at least
+        # L(L-1) steps, so the step budget also bounds the rule count
         self.steps += 2 * (len(rules) - 1)
         n = len(lhs)
         hits = [(rid, 0, k) for k in range(1, n) if lhs.endswith(lhs[:k])]
@@ -558,7 +561,7 @@ def initial_rules(pres: Presentation) -> RewriteSystem:
     inverse rules alone are confluent.
 
     No budget bounds this orientation.  Every relator rule is installed
-    whatever its length, beyond any ``max_rule_length``, and the rewrites
+    whatever its length, beyond ``MAX_RULE_LENGTH``, and the rewrites
     and inserts it takes are charged to ``steps`` without a check
     against any ``max_steps``, so a ``knuth_bendix`` that follows starts
     with them spent (see ``Budget``).
@@ -599,7 +602,9 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
     budget runs out between the two steps, completion stops there and
     the equation is dropped.  A pair of live rules still overlaps, and
     by the k it was queued with, since a rule id's left side never
-    changes.
+    changes.  A new rule whose left side is longer than
+    ``MAX_RULE_LENGTH`` is dropped and sets ``limited``; completion
+    goes on with the rest of the queue.
 
     The loop ends with nothing queued unless ``limited`` is set, so the
     system is confluent exactly when it is not limited.  The returned
@@ -637,12 +642,9 @@ def knuth_bendix(rws: RewriteSystem, budget: Budget = DEFAULT_BUDGET) -> Rewrite
         if rule is None:
             continue
         lhs, rhs = rule
-        if len(lhs) > budget.max_rule_length:
+        if len(lhs) > MAX_RULE_LENGTH:
             rws.limited = True
             continue
-        if len(rws.rules) >= budget.max_rules:
-            rws.limited = True
-            break
         rws._insert(lhs, rhs)
     rws.confluent = not rws.limited
     rws._pending.clear()

@@ -1,6 +1,5 @@
 """Command-line interface: exit codes, formats, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -270,15 +269,26 @@ def test_budget_flags_default_to_the_default_budget():
         ["table"],
         ["oracle-check", "--corpus", "SL2_F2"],
     ):
-        args = parser.parse_args(argv)
-        flags = (args.budget_rules, args.budget_len, args.budget_steps)
-        assert flags == dataclasses.astuple(DEFAULT_BUDGET)
+        assert parser.parse_args(argv).budget_steps == DEFAULT_BUDGET.max_steps
+
+
+@pytest.mark.parametrize("flag", ["--budget-rules", "--budget-len"])
+@pytest.mark.parametrize("command", [
+    ["compute", "--corpus", "SL2_F2", "--prime", "2"],
+    ["table"],
+    ["oracle-check", "--corpus", "SL2_F2"],
+], ids=["compute", "table", "oracle-check"])
+def test_removed_budget_flags_are_usage_errors(capsys, command, flag):
+    code, out, err = run(capsys, *command, flag, "12")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 def test_compute_stopped_by_the_rule_limit_gives_an_upper_bound(capsys):
     code, out, _ = run(
         capsys, "compute", "--corpus", "SL2_F3", "--prime", "3",
-        "--budget-rules", "12", "--format", "json",
+        "--budget-steps", "3000", "--format", "json",
     )
     assert code == 0
     record = json.loads(out)
@@ -288,14 +298,14 @@ def test_compute_stopped_by_the_rule_limit_gives_an_upper_bound(capsys):
 
 
 def test_zero_budget_limits_exit_2(capsys):
-    for flag in ("--budget-steps", "--budget-rules", "--budget-len"):
-        for value in ("0", "-1"):
-            code, out, err = run(
-                capsys, "compute", "--corpus", "SL2_F2", "--prime", "2", flag, value
-            )
-            assert code == 2
-            assert out == ""
-            assert "budget limits must be positive" in err
+    for value in ("0", "-1"):
+        code, out, err = run(
+            capsys, "compute", "--corpus", "SL2_F2", "--prime", "2",
+            "--budget-steps", value,
+        )
+        assert code == 2
+        assert out == ""
+        assert "budget limits must be positive" in err
 
 
 def test_oracle_unavailable_exits_3(tmp_path, capsys):

@@ -40,7 +40,7 @@ def completed(pres, budget=Budget()):
 
 def test_budget_rejects_nonpositive_limits():
     with pytest.raises(ValueError):
-        Budget(max_rules=0)
+        Budget(max_steps=0)
     with pytest.raises(ValueError):
         Budget(max_steps=-1)
 
@@ -180,16 +180,36 @@ def test_limited_completion_is_still_sound_for_trivial_words():
             assert normal_form(reference, w) == ()
 
 
-def test_completion_stops_at_the_rule_limit():
-    # the limit is checked before each insert: with 40 live rules the
-    # next insert is refused, while a limit of 41 lets it in and the
-    # completion interreduces back to the 40 rules of SL(2,3)
-    stopped = completed(corpus("SL2_F3"), Budget(max_rules=40))
+def test_completion_stops_at_the_step_limit():
+    stopped = completed(corpus("SL2_F3"), Budget(max_steps=3000))
     assert (len(stopped.rules), stopped.limited, stopped.confluent) == (40, True, False)
     assert group_order(stopped, 100) is None
-    done = completed(corpus("SL2_F3"), Budget(max_rules=41))
+    done = completed(corpus("SL2_F3"))
     assert (len(done.rules), done.limited, done.confluent) == (40, False, True)
     assert group_order(done, 100) == 24
+
+
+def test_completion_drops_left_sides_over_the_length_limit(monkeypatch):
+    # SL(2,3)'s confluent system has left sides of 4 letters, so a
+    # limit of 3 drops rules it needs
+    assert rewrite.MAX_RULE_LENGTH == 64
+    done = completed(corpus("SL2_F3"))
+    assert max(len(lhs) for lhs, _ in done.rules.values()) == 4
+    monkeypatch.setattr(rewrite, "MAX_RULE_LENGTH", 3)
+    short = completed(corpus("SL2_F3"))
+    assert (short.limited, short.confluent) == (True, False)
+    assert group_order(short, 100) is None
+
+
+@pytest.mark.parametrize("name", ["SL2_F3", "GL2_Z", "PSL2_Z"])
+def test_the_steps_bound_the_live_rules(name):
+    # an insert charges two steps per other live rule, so L live rules
+    # cost at least L(L-1) steps and the step budget caps L
+    for pres in (corpus(name), build_p_cover(corpus(name), 5)):
+        for steps in (3000, 120000):
+            rws = completed(pres, Budget(max_steps=steps))
+            live = len(rws.rules)
+            assert live * (live - 1) <= rws.steps, (pres.name, steps)
 
 
 def test_dump_rules_format():
