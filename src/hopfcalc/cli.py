@@ -131,9 +131,6 @@ def main(argv=None) -> int:
     except oracle.OracleUnavailable as e:
         print(f"hopfcalc: oracle unavailable: {e}", file=sys.stderr)
         return 3
-    except KeyError as e:
-        print(f"hopfcalc: error: {e.args[0] if e.args else e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"hopfcalc: error: {e}", file=sys.stderr)
         return 2

@@ -27,12 +27,13 @@ quarter of the space is then free.  It also gives up when the complete
 table has more cosets than the cap.
 
 A table whose columns are permutations, each undone by its inverse
-letter's column, and whose relators fix every coset is a transitive
-action of the presented group, so its size is the index of the
-stabilizer of coset 0; ``check_table`` proves that much.  Words that
-fix coset 0 lie in that stabilizer, so the group order is at least the
-size times the order of the subgroup they generate.  That the
-stabilizer is H itself, and the size |G|/|H|, rests on the enumeration.
+letter's column, and whose relators fix every coset is an action of
+the presented group; ``check_table`` proves that much.  An enumerated
+table is also transitive, so its size is the index of the stabilizer
+of coset 0.  Words that fix coset 0 lie in that stabilizer, so the
+group order is at least the size times the order of the subgroup they
+generate.  That the stabilizer is H itself, and the size |G|/|H|,
+rests on the enumeration.
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ def walk(table: CosetTable, coset: int, word: Word) -> int:
 def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
     """Raise ArithmeticError unless the table is an action in which the relators hold.
 
-    Each column must be a permutation of the cosets that the inverse
-    letter's column undoes, and each relator must fix every coset, so
-    a relator with a letter that has no column does not hold.
+    Each column must map the cosets to themselves, each generator's
+    column must be undone by its inverse letter's, and each relator
+    must fix every coset, so a relator with a letter that has no column
+    does not hold.  One direction is enough: on a finite set a left
+    inverse is two-sided, so every column is a permutation.
     """
     n = table.order
     if any(len(col) != n for col in table.columns):
@@ -84,7 +87,7 @@ def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
     everyone = np.arange(n)
     if np.any((cols < 0) | (cols >= n)):
         raise ArithmeticError("a coset table column is not a map of its cosets")
-    for x in range(len(cols)):
+    for x in range(0, len(cols), 2):
         if not np.array_equal(cols[x ^ 1][cols[x]], everyone):
             raise ArithmeticError(f"letter {x ^ 1} does not undo letter {x} in the table")
     for i, w in enumerate(relators):

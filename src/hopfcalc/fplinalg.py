@@ -6,9 +6,9 @@ bounded by generator and relator counts, or by group order times
 those counts in the oracle), so plain Gaussian elimination is enough.
 ``rank``, ``rref`` and ``kernel_image`` share one elimination loop, and
 ``left_kernel_basis`` is ``kernel_image`` of the identity; only ``rref``
-clears above its pivots, and ``rank`` transposes first when that makes
-the loop run over the short side.  ``kernel_image`` gives the rank of a
-matrix and the image of its left kernel from one pass.
+clears above its pivots.  The loop runs over the columns and stops once
+every row has a pivot.  ``kernel_image`` gives the rank of a matrix and
+the image of its left kernel from one pass.
 """
 
 from __future__ import annotations
@@ -88,10 +88,8 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(mat, p: int) -> int:
-    """Rank by forward elimination, transposing tall matrices first."""
+    """Rank by forward elimination."""
     a = as_fp(mat, p)
-    if a.shape[0] > a.shape[1]:
-        a = a.T.copy()
     return len(_eliminate(a, p, a.shape[1], full=False))
 
 

@@ -316,7 +316,7 @@ def corpus_names() -> tuple[str, ...]:
 
 def corpus(name: str) -> Presentation:
     if name not in _CORPUS_NAMES:
-        raise KeyError(f"unknown corpus entry {name!r}; available: {', '.join(_CORPUS_NAMES)}")
+        raise ValueError(f"unknown corpus entry {name!r}; available: {', '.join(_CORPUS_NAMES)}")
     if name not in _corpus_cache:
         text = resources.files("hopfcalc.corpus").joinpath(f"{name}.pres").read_text("utf-8")
         _corpus_cache[name] = parse_presentation(text, name=name)

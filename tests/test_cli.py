@@ -166,6 +166,16 @@ def test_dump_rules_is_written_before_the_run(monkeypatch, tmp_path, capsys):
     assert rules.read_text(encoding="utf-8").startswith("# confluent: true")
 
 
+def test_a_key_error_is_a_fault_not_a_validation_error(monkeypatch):
+    # only the documented errors exit 2; a KeyError from inside the run propagates
+    def faulty(pres, p, budget):
+        raise KeyError("a normal form that is not an element")
+
+    monkeypatch.setattr(cli, "run_pipeline", faulty)
+    with pytest.raises(KeyError, match="not an element"):
+        cli.main(["compute", "--corpus", "SL2_F2", "--prime", "2"])
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "compute", "--prime", "2")[0] == 1  # no source
     assert (

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hopfcalc import cosets, oracle
 from hopfcalc.hopf import ORDER_CAP, BoundKind, build_p_cover, run_pipeline
@@ -157,6 +159,34 @@ def test_a_table_that_is_not_an_action_of_the_relators_is_refused():
     # Z6 has one generator, so letter 2 has no column
     with pytest.raises(ArithmeticError, match="relator 1 has a letter outside"):
         cosets.check_table(table, (Z6.relators[0], (2,)))
+
+
+@st.composite
+def two_maps(draw):
+    """n, and two maps P and Q of range(n); Q is sometimes P's inverse."""
+    n = draw(st.integers(1, 6))
+    point_map = st.one_of(
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+    ).map(tuple)
+    P, Q = draw(point_map), draw(point_map)
+    if sorted(P) == list(range(n)) and draw(st.booleans()):
+        Q = tuple(sorted(range(n), key=P.__getitem__))
+    return n, P, Q
+
+
+@given(two_maps())
+def test_one_generator_test_decides_a_letter_pair(maps):
+    # Q undoing P is tested, P undoing Q follows: on a finite set a left
+    # inverse is two-sided
+    n, P, Q = maps
+    inverse = all(Q[P[c]] == c and P[Q[c]] == c for c in range(n))
+    try:
+        cosets.check_table(cosets.CosetTable(n, (P, Q), 0), ())
+    except ArithmeticError as e:
+        assert not inverse and "letter 1 does not undo letter 0" in str(e)
+    else:
+        assert inverse
 
 
 def test_cosets_imports_nothing_from_the_rewriting_engine():

@@ -262,6 +262,33 @@ def test_check_completes_the_base_once(monkeypatch):
     assert calls[0][2] is not calls[1][2]
 
 
+def test_check_checks_the_oracle_table_once_before_reading_it(monkeypatch):
+    # bar_h2 checks the table with the relators; multiplication_table does not
+    pres = corpus("SL2_F2")
+    build, check, h1 = oracle.multiplication_table, oracle.check_table, oracle.bar_h1
+    tables, events = [], []
+
+    def built(rws, cap):
+        tables.append(build(rws, cap))
+        return tables[-1]
+
+    def checked(table, relators):
+        events.append(("check", table, relators))
+        check(table, relators)
+
+    def read(table, p):
+        events.append(("bar_h1", table, None))
+        return h1(table, p)
+
+    monkeypatch.setattr(oracle, "multiplication_table", built)
+    monkeypatch.setattr(oracle, "check_table", checked)
+    monkeypatch.setattr(oracle, "bar_h1", read)
+    assert oracle.check(pres, 2)["verdict"] == "pass"
+    assert len(tables) == 1
+    on_table = [(kind, rels) for kind, t, rels in events if t is tables[0]]
+    assert on_table == [("check", pres.relators), ("bar_h1", None)]
+
+
 def no_pipeline(*args, **kwargs):
     raise AssertionError("the pipeline ran before the oracle could answer")
 

@@ -247,7 +247,7 @@ def test_corpus_inventory():
 
 
 def test_corpus_rejects_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown corpus entry 'NOPE'"):
         corpus("NOPE")
 
 
