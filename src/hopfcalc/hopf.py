@@ -8,28 +8,33 @@ group F/K^p[F,K], the mod-p abelianization map sends each spanning
 element to its exponent vector, and dim H_2(G;F_p) is the kernel
 dimension of that map restricted to A.
 
-What keeps the pipeline honest is the bound kind.  The spanning set
-is a set of relators whose size m bounds dim A from above, so ``m minus
-image rank`` bounds h2.  It comes by one of two routes.  When the group
-has a known finite order |G| and its cover may fit under ``ORDER_CAP``,
-the cover is enumerated as a coset table (``cosets``) over a subgroup
-H of order prime to p that meets A trivially, so A acts freely on the
-|C|/|H| cosets: |C| gives dim A, with p^(dim A) = |C|/|G|, and the
-relators whose elements of A are independent, taken from the last
-relator back, are the spanning set, so m is dim A.  Otherwise, and
-whenever an enumeration gives up, the cover is completed as a rewriting
-system and the spanning set starts as the full relator list and only
-ever shrinks under replayable certificates.  The search that shrinks it
-makes one pass over the members in input order: members only leave, so
-a second pass would retest each survivor on a subset of its candidate
-products, whose normal forms in the finished cover system do not
-change, and would remove nothing.  From below, certified sources bound dim A: order
-counting gives dim A itself, the group counted through its confluent
-system and the cover through its coset table or its confluent system;
+What keeps the pipeline honest is the bound kind.  The spanning set is a
+set of relators whose size m bounds dim A from above, so ``m minus image
+rank`` bounds h2.  It comes by one of three routes.  When the group has
+a known finite order |G| that p does not divide, |G| annihilates H_1 and
+H_2 (Brown, *Cohomology of Groups*, III.10), so A maps isomorphically
+onto F_p^n: dim A is n, and the relators whose image rows are
+independent, taken from the last relator back, are the spanning set,
+with no cover built at all.  When p divides |G| and the cover may fit
+under ``ORDER_CAP``, the cover is enumerated as a coset table
+(``cosets``) over a subgroup H of order prime to p that meets A
+trivially, so A acts freely on the |C|/|H| cosets: |C| gives dim A, with
+p^(dim A) = |C|/|G|, and the relators whose elements of A are
+independent, taken from the last relator back, are the spanning set, so
+m is dim A.  Otherwise, and whenever an enumeration gives up, the cover
+is completed as a rewriting system and the spanning set starts as the
+full relator list and only ever shrinks under replayable certificates.
+The search that shrinks it makes one pass over the members in input
+order: members only leave, so a second pass would retest each survivor
+on a subset of its candidate products, whose normal forms in the
+finished cover system do not change, and would remove nothing.  From
+below, certified sources bound dim A: order counting gives dim A itself,
+the group counted through its confluent system and the cover through its
+coset table or its confluent system, or as |G|·p^n on the coprime route;
 A maps onto the relators' image in F_p^n, so the image rank is one; and
-the one-relator criterion gives 1.  h2 is exact exactly when the
-largest lower bound is m, so h2 = 0 is always exact, and so is every
-result of the table route.
+the one-relator criterion gives 1.  h2 is exact exactly when the largest
+lower bound is m, so h2 = 0 is always exact, and so is every result of
+the coprime and the table route.
 """
 
 from __future__ import annotations
@@ -429,6 +434,19 @@ def _table_basis(
     return kept[::-1], len(span)
 
 
+def _coprime_basis(rows: np.ndarray, p: int) -> list[int]:
+    """Relators whose image rows are independent, taken from the last relator back.
+
+    One elimination of the reversed rows as columns: a pivot column is
+    one outside the span of the columns before it.  Returns the kept
+    indices in input order.  When A maps injectively to F_p^n, these
+    are the relators ``_table_basis`` keeps.
+    """
+    r = len(rows)
+    _, pivots = fplinalg.rref(rows[::-1].T, p)
+    return sorted(r - 1 - j for j in pivots)
+
+
 def _p_prime_subgroup(table: CosetTable, p: int) -> tuple[list[Word], int]:
     """Words u_i = x_i^(p^(s+1)) whose images generate a p′-subgroup Q of G, and |Q|.
 
@@ -539,8 +557,13 @@ def run_pipeline(
     A source above the order count, or lower above m, raises
     ``ArithmeticError``.
 
-    Two routes lead to the spanning set.  When the base has a known
-    order |G| and |G|·p^(image rank) is within ``ORDER_CAP``, the base
+    Three routes lead to the spanning set.  When the base has a known
+    order |G| that p does not divide, H_1 and H_2 vanish, so dim A is n
+    and the spanning set is the relators at the pivots of their image
+    rows, taken from the last relator back (``_coprime_basis``): no
+    cover is built, enumerated or completed, and an image rank below n
+    raises ``ArithmeticError``.  When p divides |G| and
+    |G|·p^(image rank) is within ``ORDER_CAP``, the base
     and then the cover are enumerated as coset tables, the cover over a
     subgroup H of order |Q| prime to p (``_cover_table``, which says
     why that is sound), the two sharing ``budget.max_steps`` coset
@@ -558,7 +581,8 @@ def run_pipeline(
     fplinalg.require_prime(p)
     base = knuth_bendix(initial_rules(pres), budget)
     base_order = group_order(base, ORDER_CAP)
-    cover_pres = build_p_cover(pres, p)
+    coprime = base_order is not None and base_order % p != 0
+    cover_pres = None if coprime else build_p_cover(pres, p)
 
     n = pres.arity
     relators = list(pres.relators)
@@ -569,10 +593,17 @@ def run_pipeline(
         # cover, so that perfbench's search span, which starts at the
         # rank before the first normal form, does not take it in
         rank_all = fplinalg.rank(rows, p)
-        if base_order * p**rank_all <= ORDER_CAP:
+        if not coprime and base_order * p**rank_all <= ORDER_CAP:
             enumerated = _cover_table(pres, cover_pres, base_order, p, budget)
 
-    if enumerated is not None:
+    if coprime:
+        if rank_all != n:
+            raise ArithmeticError("h1 is not 0 though p does not divide the group's order")
+        live = _coprime_basis(rows, p)
+        dim_a, cover_order = n, base_order * p**n
+        certs, search = (), {"steps": 0, "exhausted": False}
+        cover_rules, cover_steps, cover_limited, confluent_cover = 0, 0, False, True
+    elif enumerated is not None:
         table, q_order, definitions = enumerated
         cover_order = table.order * q_order
         dim_a = _order_dim_a(base_order, cover_order, p)
@@ -674,14 +705,16 @@ def to_json(result: HopfResult) -> dict:
     """Serializable record; key set and order are part of the output contract.
 
     The budget block has the same keys, and each value the same type, on
-    both routes.  On the table route ``cover_rules`` is 0,
-    ``cover_steps`` counts the coset definitions of the base's and the
-    cover's enumerations together, ``cover_order`` is the cover table's
-    size times the order of the subgroup it was enumerated over,
-    ``cover_limited`` and ``search_exhausted`` are false,
-    ``search_steps`` is 0, and ``confluent_cover`` is true, since the
-    cover is known completely.
-    On both, ``removals`` is the relators left out of the spanning set,
+    every route.  On the coprime and the table route ``cover_rules`` and
+    ``search_steps`` are 0, ``cover_limited`` and ``search_exhausted``
+    are false, and ``confluent_cover`` is true, since the cover is known
+    completely.  On the coprime route ``cover_steps`` is 0, as no cover
+    is enumerated, ``cover_order`` is |G|·p^n and ``order_dim_a`` is n.
+    On the table route ``cover_steps`` counts the coset definitions of
+    the base's and the cover's enumerations together, and
+    ``cover_order`` is the cover table's size times the order of the
+    subgroup it was enumerated over.
+    On all three, ``removals`` is the relators left out of the spanning set,
     so ``h2 == initial_bound - removals``.
     """
     gens = result.generators

@@ -127,16 +127,21 @@ def test_the_lookahead_keeps_the_table():
     cosets.check_table(tight, cover.relators)
 
 
-@pytest.mark.parametrize("pres", [BINARY_ICOSAHEDRAL, A5], ids=lambda pres: pres.name)
-def test_a_7_cover_over_a_p_prime_subgroup_fits_a_small_budget(pres):
-    # over the trivial subgroup the 7-covers of 2I (order 5880) and A5
-    # (order 2940) take 137,441 and 68,503 definitions; over a subgroup
-    # of order prime to 7 they fit in 20,000, and the table route is exact
-    res = run_pipeline(pres, 7, Budget(max_steps=20_000))
+@pytest.mark.parametrize(
+    "pres, p", [(BINARY_ICOSAHEDRAL, 3), (A5, 5)], ids=lambda x: getattr(x, "name", x)
+)
+def test_a_cover_over_a_p_prime_subgroup_fits_a_small_budget(pres, p):
+    # p divides |G|, so these take the table route: over the trivial
+    # subgroup the 3-cover of 2I (order 1080) and the 5-cover of A5
+    # (order 1500) take 10,203 and 22,032 definitions; over a subgroup of
+    # order prime to p (4 and 2) base and cover together take 2,787 and
+    # 10,924, within 20,000, and the table route is exact
+    res = run_pipeline(pres, p, Budget(max_steps=20_000))
     report = res.budget_report
     assert (res.h2_value, res.h2_kind) == (0, BoundKind.EXACT)
     assert report["cover_rules"] == 0 < report["cover_steps"] <= 20_000
-    assert report["cover_order"] == report["group_order"] * 7 ** len(res.spanning_set)
+    assert report["cover_steps"] < enumerate_all(build_p_cover(pres, p)).definitions
+    assert report["cover_order"] == report["group_order"] * p ** len(res.spanning_set)
 
 
 def test_a_table_that_is_not_an_action_of_the_relators_is_refused():

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hopfcalc import fplinalg, hopf, words
+from hopfcalc import fplinalg, hopf, oracle, words
 from hopfcalc.hopf import (
     BoundKind,
     build_p_cover,
@@ -22,7 +23,9 @@ from hopfcalc.hopf import (
 )
 from hopfcalc.presentation import Presentation, corpus, corpus_names, parse_presentation
 from hopfcalc.rewrite import (
+    DEFAULT_BUDGET,
     Budget,
+    group_order,
     initial_rules,
     knuth_bendix,
     reduce_with_allowance,
@@ -160,15 +163,17 @@ def test_order_count_below_the_one_relator_bound_is_refused(monkeypatch):
 
 
 def test_search_that_drops_image_rank_is_refused(monkeypatch):
-    # a^5 has the nonzero image row (1) mod 2; dropping it loses rank
+    # Z6 as a^2, b^3, [a,b]: 2 divides its order, so the cover is built;
+    # b^3 has the nonzero image row (0, 1) mod 2, and dropping it loses rank
+    z6 = parse_presentation("gens: a b\nrel: a^2\nrel: b^3\nrel: [a,b]\n")
     monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     monkeypatch.setattr(
         hopf,
         "_reduce_spanning",
         lambda spanning, rows, cover, p, budget: ([], [], {"steps": 0, "exhausted": False}),
     )
-    with pytest.raises(ArithmeticError):
-        run_pipeline(Z5, 2)
+    with pytest.raises(ArithmeticError, match="changed the image rank"):
+        run_pipeline(z6, 2)
 
 
 def copies(table, k):
@@ -362,8 +367,9 @@ def pinned_cells():
     Every corpus entry at every table prime on a small budget, plus
     SL2_F2 at p=3 in full: in the spanning search over their covers,
     removals by the empty, single and pair products all occur.  The
-    pipeline takes the cover table route on the finite cells whose
-    cover enumerates within the budget's definitions.
+    pipeline takes the coprime route on the finite cells whose order p
+    does not divide, and the cover table route on the other finite
+    cells whose cover enumerates within the budget's definitions.
     """
     cells = [
         (corpus(name), p, Budget(max_steps=3000))
@@ -391,7 +397,7 @@ def test_pipeline_records_are_pinned(monkeypatch):
     monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     pin(corpus("SL2_F2"), 3, Budget())
     assert h.hexdigest() == (
-        "168a4b1ed77de8244652a74fca043e8ae948ceab0481f4544eeea544224235c6"
+        "bb8769231d829377f89f8b8c1c50ffb0ccd6c997fb3b2ded61528636d07904e3"
     )
 
 
@@ -402,9 +408,19 @@ ROUTE_KEYS = (
 FINITE_CORPUS = ("SL2_F2", "SL2_F3", "SL2_F5", "SL2_ZI", "SL2_ZOMEGA")
 
 
+def finite_cells():
+    """The finite corpus and the criterion-6 groups at p = 2, 3, 5, 7, with |G| each."""
+    groups = [corpus(name) for name in FINITE_CORPUS] + ORACLE_GROUPS
+    out = []
+    for pres in groups:
+        order = group_order(knuth_bendix(initial_rules(pres)), hopf.ORDER_CAP)
+        out += [(pres, p, order) for p in (2, 3, 5, 7)]
+    return out
+
+
 def test_both_routes_give_the_same_record(monkeypatch):
-    cells = [(corpus(name), p) for name in FINITE_CORPUS for p in (2, 3, 5, 7)]
-    cells += [(pres, p) for pres in ORACLE_GROUPS for p in (2, 3, 5, 7)]
+    # cells where p divides |G|: the table and the completion route
+    cells = [(pres, p) for pres, p, order in finite_cells() if order % p == 0]
 
     def records():
         out = []
@@ -424,6 +440,65 @@ def test_both_routes_give_the_same_record(monkeypatch):
         assert table_keys["cover_rules"] == 0 < completion_keys["cover_rules"], cell
         assert table == completion, cell
         assert table["h2_kind"] == "exact", cell
+
+
+def test_the_coprime_route_keeps_the_table_basis():
+    # where p does not divide |G|, A maps injectively to F_p^n, so the
+    # pivots of the image rows are the relators the cover table keeps
+    cells = [(pres, p, order) for pres, p, order in finite_cells() if order % p]
+    assert cells
+    for pres, p, order in cells:
+        res = run_pipeline(pres, p)
+        report = res.budget_report
+        cell = (pres.name, p)
+        assert report["cover_steps"] == report["cover_rules"] == 0, cell
+        assert (res.h1_dim, res.h2_value, res.h2_kind) == (0, 0, BoundKind.EXACT), cell
+        cover_pres = build_p_cover(pres, p)
+        table, q_order, _ = hopf._cover_table(pres, cover_pres, order, p, DEFAULT_BUDGET)
+        kept, span = hopf._table_basis(table, pres.relators, p)
+        assert tuple(pres.relators[i] for i in kept) == res.spanning_set, cell
+        assert table.order * q_order == report["cover_order"] == order * span, cell
+        assert report["order_dim_a"] == len(kept) == pres.arity, cell
+
+
+def test_coprime_primes_are_exact_without_a_cover(monkeypatch):
+    # SL2_F2 is S3, of order 6, prime to 101 and 1009, so h2 = 0 with no
+    # cover; its p-cover, of relators written out to the p-th power,
+    # ends at the default budget with only h2 <= 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coprime cell built or enumerated a cover")
+
+    completed = []
+
+    def base_only(rules, budget):
+        if completed:
+            raise AssertionError("a coprime cell completed a second system")
+        completed.append(rules)
+        return knuth_bendix(rules, budget)
+
+    monkeypatch.setattr(hopf, "enumerate_cosets", refuse)
+    monkeypatch.setattr(hopf, "build_p_cover", refuse)
+    monkeypatch.setattr(hopf, "knuth_bendix", base_only)
+    for p in (101, 1009):
+        completed.clear()
+        start = time.process_time()
+        res = run_pipeline(corpus("SL2_F2"), p)
+        assert time.process_time() - start < 0.5
+        report = res.budget_report
+        assert (res.h1_dim, res.h2_value, res.h2_kind) == (0, 0, BoundKind.EXACT)
+        assert report["cover_steps"] == report["search_steps"] == 0
+        assert report["cover_order"] == 6 * p**2
+        completed.clear()
+        assert oracle.check(corpus("SL2_F2"), p)["verdict"] == "pass"
+
+
+def test_a_coprime_order_with_nonzero_h1_is_refused(monkeypatch):
+    # Z3 has h1 = 1 at p = 3; claimed to be of order 1, p would not
+    # divide |G| and h1 would have to be 0
+    z3 = parse_presentation("gens: a\nrel: a^3\n")
+    monkeypatch.setattr(hopf, "group_order", lambda rws, cap: 1)
+    with pytest.raises(ArithmeticError, match="h1 is not 0"):
+        run_pipeline(z3, 3)
 
 
 def test_zero_h2_is_exact():
