@@ -10,12 +10,16 @@ dimension of that map restricted to A.
 
 What keeps the pipeline honest is the bound kind.  The spanning set is a
 set of relators whose size m bounds dim A from above, so ``m minus image
-rank`` bounds h2.  It comes by one of three routes.  When the group has
+rank`` bounds h2.  It comes by one of four routes.  When the group has
 a known finite order |G| that p does not divide, |G| annihilates H_1 and
 H_2 (Brown, *Cohomology of Groups*, III.10), so A maps isomorphically
 onto F_p^n: dim A is n, and the relators whose image rows are
 independent, taken from the last relator back, are the spanning set,
-with no cover built at all.  When p divides |G| and the cover may fit
+with no cover built at all.  When no order is counted, a cover could
+only shrink the spanning set by search; so when the image rank, or the
+one-relator bound, already equals the relator count r, the lower bound
+meets m = r, every relator is in the spanning set, and again no cover
+is built.  When p divides |G| and the cover may fit
 under ``ORDER_CAP``, the cover is enumerated as a coset table
 (``cosets``) over a subgroup H of order prime to p that meets A
 trivially, so A acts freely on the |C|/|H| cosets: |C| gives dim A, with
@@ -34,7 +38,8 @@ coset table or its confluent system, or as |G|·p^n on the coprime route;
 A maps onto the relators' image in F_p^n, so the image rank is one; and
 the one-relator criterion gives 1.  h2 is exact exactly when the largest
 lower bound is m, so h2 = 0 is always exact, and so is every result of
-the coprime and the table route.
+the coprime route, the table route and the route on which the bounds
+met before any cover.
 """
 
 from __future__ import annotations
@@ -434,13 +439,14 @@ def _table_basis(
     return kept[::-1], len(span)
 
 
-def _coprime_basis(rows: np.ndarray, p: int) -> list[int]:
+def _image_basis(rows: np.ndarray, p: int) -> list[int]:
     """Relators whose image rows are independent, taken from the last relator back.
 
     One elimination of the reversed rows as columns: a pivot column is
     one outside the span of the columns before it.  Returns the kept
-    indices in input order.  When A maps injectively to F_p^n, these
-    are the relators ``_table_basis`` keeps.
+    indices in input order; their number is the image rank.  When A
+    maps injectively to F_p^n, these are the relators ``_table_basis``
+    keeps.
     """
     r = len(rows)
     _, pivots = fplinalg.rref(rows[::-1].T, p)
@@ -557,12 +563,19 @@ def run_pipeline(
     A source above the order count, or lower above m, raises
     ``ArithmeticError``.
 
-    Three routes lead to the spanning set.  When the base has a known
+    Four routes lead to the spanning set.  When the base has a known
     order |G| that p does not divide, H_1 and H_2 vanish, so dim A is n
     and the spanning set is the relators at the pivots of their image
-    rows, taken from the last relator back (``_coprime_basis``): no
+    rows, taken from the last relator back (``_image_basis``): no
     cover is built, enumerated or completed, and an image rank below n
-    raises ``ArithmeticError``.  When p divides |G| and
+    raises ``ArithmeticError``.  When no order is counted and the
+    larger of the image rank and the one-relator criterion's 1 is
+    already the relator count r, lower meets m = r before any cover:
+    the spanning set is every relator, h2 = r minus the image rank is
+    exact, and no cover is built, completed or searched.  Without an
+    order count the cover's only use is the search, and a removal
+    there would put m below lower, so skipping it changes no answer.
+    When p divides |G| and
     |G|·p^(image rank) is within ``ORDER_CAP``, the base
     and then the cover are enumerated as coset tables, the cover over a
     subgroup H of order |Q| prime to p (``_cover_table``, which says
@@ -581,46 +594,55 @@ def run_pipeline(
     fplinalg.require_prime(p)
     base = knuth_bendix(initial_rules(pres), budget)
     base_order = group_order(base, ORDER_CAP)
-    coprime = base_order is not None and base_order % p != 0
-    cover_pres = None if coprime else build_p_cover(pres, p)
 
     n = pres.arity
     relators = list(pres.relators)
     rows = exponent_matrix(relators, n, p)
-    enumerated = None
-    if base_order is not None:
-        # the completion route takes the image rank after completing the
-        # cover, so that perfbench's search span, which starts at the
-        # rank before the first normal form, does not take it in
-        rank_all = fplinalg.rank(rows, p)
-        if not coprime and base_order * p**rank_all <= ORDER_CAP:
+    pivots = _image_basis(rows, p)
+    rank_all = len(pivots)
+    # Certified lower bounds on dim A; order counting gives dim A itself.
+    # A maps onto the row space of the exponent matrix, so dim A is at
+    # least its rank.  One-relator criterion: a lone relator that is
+    # not a proper power freely generates the relation module, so its
+    # class in A is nonzero.
+    nontrivial = [r for r in relators if r]
+    one_relator = (
+        len(nontrivial) == 1
+        and words.proper_power_root(words.cyclic_reduce(nontrivial[0])[0])[1] == 1
+    )
+    sources = (rank_all, int(one_relator))
+    coprime = base_order is not None and base_order % p != 0
+    # with no order to count, a cover can only feed the search, and
+    # when the bounds already meet at every relator it can remove none
+    bounds_met = base_order is None and max(sources) == len(relators)
+    cover_pres = enumerated = None
+    if not (coprime or bounds_met):
+        cover_pres = build_p_cover(pres, p)
+        if base_order is not None and base_order * p**rank_all <= ORDER_CAP:
             enumerated = _cover_table(pres, cover_pres, base_order, p, budget)
 
+    certs, search = (), {"steps": 0, "exhausted": False}
+    cover_rules, cover_steps, cover_limited, confluent_cover = 0, 0, False, True
     if coprime:
         if rank_all != n:
             raise ArithmeticError("h1 is not 0 though p does not divide the group's order")
-        live = _coprime_basis(rows, p)
+        live = pivots
         dim_a, cover_order = n, base_order * p**n
-        certs, search = (), {"steps": 0, "exhausted": False}
-        cover_rules, cover_steps, cover_limited, confluent_cover = 0, 0, False, True
+    elif bounds_met:
+        live = list(range(len(relators)))
+        dim_a = cover_order = None
+        confluent_cover = False
     elif enumerated is not None:
-        table, q_order, definitions = enumerated
+        table, q_order, cover_steps = enumerated
         cover_order = table.order * q_order
         dim_a = _order_dim_a(base_order, cover_order, p)
         live, span = _table_basis(table, relators, p)
         if len(live) != dim_a or span != cover_order // base_order:
             raise ArithmeticError("the relators' elements in the cover table do not span A")
-        certs, search = (), {"steps": 0, "exhausted": False}
-        # complete tables: no rules, their coset definitions as the steps
-        cover_rules, cover_steps, cover_limited, confluent_cover = (
-            0, definitions, False, True
-        )
     else:
         cover = knuth_bendix(initial_rules(cover_pres), budget)
         cover_order = group_order(cover, ORDER_CAP)
         dim_a = _order_dim_a(base_order, cover_order, p)
-        if base_order is None:
-            rank_all = fplinalg.rank(rows, p)
         live, certs, search = _reduce_spanning(
             relators, [tuple(r) for r in rows.tolist()], cover, p, budget
         )
@@ -637,17 +659,6 @@ def run_pipeline(
     if rank != rank_all:
         raise ArithmeticError("spanning reduction changed the image rank")
 
-    # Certified lower bounds on dim A; order counting gives dim A itself.
-    # A maps onto the row space of the exponent matrix, so dim A is at
-    # least its rank.  One-relator criterion: a lone relator that is
-    # not a proper power freely generates the relation module, so its
-    # class in A is nonzero.
-    nontrivial = [r for r in relators if r]
-    one_relator = (
-        len(nontrivial) == 1
-        and words.proper_power_root(words.cyclic_reduce(nontrivial[0])[0])[1] == 1
-    )
-    sources = (rank_all, int(one_relator))
     lower = max(sources) if dim_a is None else dim_a
     if not max(sources) <= lower <= m:
         raise ArithmeticError("certified bounds on dim A cross")
@@ -705,17 +716,20 @@ def to_json(result: HopfResult) -> dict:
     """Serializable record; key set and order are part of the output contract.
 
     The budget block has the same keys, and each value the same type, on
-    every route.  On the coprime and the table route ``cover_rules`` and
-    ``search_steps`` are 0, ``cover_limited`` and ``search_exhausted``
-    are false, and ``confluent_cover`` is true, since the cover is known
-    completely.  On the coprime route ``cover_steps`` is 0, as no cover
-    is enumerated, ``cover_order`` is |G|·p^n and ``order_dim_a`` is n.
-    On the table route ``cover_steps`` counts the coset definitions of
-    the base's and the cover's enumerations together, and
-    ``cover_order`` is the cover table's size times the order of the
-    subgroup it was enumerated over.
-    On all three, ``removals`` is the relators left out of the spanning set,
-    so ``h2 == initial_bound - removals``.
+    every route.  On every route but completion ``cover_rules`` and
+    ``search_steps`` are 0 and ``cover_limited`` and ``search_exhausted``
+    are false.  On the coprime and the table route ``confluent_cover``
+    is true, since the cover is known completely.  On the coprime route
+    ``cover_steps`` is 0, as no cover is enumerated, ``cover_order`` is
+    |G|·p^n and ``order_dim_a`` is n.  On the table route
+    ``cover_steps`` counts the coset definitions of the base's and the
+    cover's enumerations together, and ``cover_order`` is the cover
+    table's size times the order of the subgroup it was enumerated over.
+    Where the bounds met before any cover, ``cover_steps`` is 0,
+    ``confluent_cover`` is false, as no cover exists, and
+    ``cover_order`` and ``order_dim_a`` are null, as no order is counted.
+    On all four, ``removals`` is the relators left out of the spanning
+    set, so ``h2 == initial_bound - removals``.
     """
     gens = result.generators
     return {

@@ -10,9 +10,9 @@ ranks alone.  The matrices grow with |G|.  The oracle completes the base itself 
 completes its own, so the two share no completion object.  They still
 share the routines: ``knuth_bendix`` and the element enumeration (the
 pipeline counts its base through them, the oracle builds its table),
-the table type with ``check_table`` and ``walk``, and
-``fplinalg.rank`` and ``fplinalg.kernel_image``; a fault there can
-hide from the oracle.  They share nothing with the coset enumerator,
+the table type with ``check_table`` and ``walk``, and ``fplinalg``'s
+one elimination loop, under ``rank``, ``rref`` and ``kernel_image``;
+a fault there can hide from the oracle.  They share nothing with the coset enumerator,
 the p-cover, the spanning-set search or the removal certificates.
 """
 

@@ -368,8 +368,9 @@ def pinned_cells():
     SL2_F2 at p=3 in full: in the spanning search over their covers,
     removals by the empty, single and pair products all occur.  The
     pipeline takes the coprime route on the finite cells whose order p
-    does not divide, and the cover table route on the other finite
-    cells whose cover enumerates within the budget's definitions.
+    does not divide, the cover table route on the other finite cells
+    whose cover enumerates within the budget's definitions, and no
+    route to a cover on the uncounted cells whose bounds already meet.
     """
     cells = [
         (corpus(name), p, Budget(max_steps=3000))
@@ -397,7 +398,7 @@ def test_pipeline_records_are_pinned(monkeypatch):
     monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     pin(corpus("SL2_F2"), 3, Budget())
     assert h.hexdigest() == (
-        "bb8769231d829377f89f8b8c1c50ffb0ccd6c997fb3b2ded61528636d07904e3"
+        "6e74248a55581d2756cf625ddbf79e1f520b594fb66a093fa28df9ea0b0978ad"
     )
 
 
@@ -461,24 +462,33 @@ def test_the_coprime_route_keeps_the_table_basis():
         assert report["order_dim_a"] == len(kept) == pres.arity, cell
 
 
-def test_coprime_primes_are_exact_without_a_cover(monkeypatch):
-    # SL2_F2 is S3, of order 6, prime to 101 and 1009, so h2 = 0 with no
-    # cover; its p-cover, of relators written out to the p-th power,
-    # ends at the default budget with only h2 <= 1
+def refuse_covers(monkeypatch):
+    """Make building or enumerating a cover, or completing a second system, raise.
+
+    Returns the list of completed systems, to be cleared before each run.
+    """
     def refuse(*args, **kwargs):
-        raise AssertionError("a coprime cell built or enumerated a cover")
+        raise AssertionError("the cell built or enumerated a cover")
 
     completed = []
 
     def base_only(rules, budget):
         if completed:
-            raise AssertionError("a coprime cell completed a second system")
+            raise AssertionError("the cell completed a second system")
         completed.append(rules)
         return knuth_bendix(rules, budget)
 
     monkeypatch.setattr(hopf, "enumerate_cosets", refuse)
     monkeypatch.setattr(hopf, "build_p_cover", refuse)
     monkeypatch.setattr(hopf, "knuth_bendix", base_only)
+    return completed
+
+
+def test_coprime_primes_are_exact_without_a_cover(monkeypatch):
+    # SL2_F2 is S3, of order 6, prime to 101 and 1009, so h2 = 0 with no
+    # cover; its p-cover, of relators written out to the p-th power,
+    # ends at the default budget with only h2 <= 1
+    completed = refuse_covers(monkeypatch)
     for p in (101, 1009):
         completed.clear()
         start = time.process_time()
@@ -490,6 +500,58 @@ def test_coprime_primes_are_exact_without_a_cover(monkeypatch):
         assert report["cover_order"] == 6 * p**2
         completed.clear()
         assert oracle.check(corpus("SL2_F2"), p)["verdict"] == "pass"
+
+
+def test_met_bounds_are_exact_without_a_cover(monkeypatch):
+    # with no counted order a cover can only feed the search, and where
+    # the image rank or the one-relator bound already is the relator
+    # count the search can remove nothing; PSL2_Z's rows (2,0), (0,3)
+    # are independent at every p >= 5, where its p-cover completion ran
+    # to the default budget's 2 million steps and the search removed none
+    completed = refuse_covers(monkeypatch)
+    one_relator = parse_presentation("gens: a b\nrel: a*b*a*b^-2\n", name="aba")
+    torus_relator = (1, 3, 0, 2)
+    cells = [
+        (corpus("PSL2_Z"), 5, 0, 0, ()),
+        (corpus("PSL2_Z"), 7, 0, 0, ()),
+        (corpus("PSL2_Z"), 101, 0, 0, ()),
+        (TORUS, 3, 2, 1, (((1,), torus_relator),)),
+        (one_relator, 2, 1, 0, ()),
+        (FREE2, 2, 2, 0, ()),
+    ]
+    for pres, p, h1, h2, candidates in cells:
+        completed.clear()
+        res = run_pipeline(pres, p)
+        cell = (pres.name, p)
+        assert (res.h1_dim, res.h2_value, res.h2_kind) == (h1, h2, BoundKind.EXACT), cell
+        assert res.spanning_set == pres.relators, cell
+        assert res.candidates == candidates, cell
+        assert res.certificates == () and not res.confluent_cover, cell
+        report = res.budget_report
+        assert [report[k] for k in ROUTE_KEYS] == [0, 0, False, 0, False], cell
+        assert report["cover_order"] is report["order_dim_a"] is None, cell
+    assert corpus("PSL2_Z").relators == ((0, 0), (2, 2, 2))
+    assert TORUS.relators == (torus_relator,)
+
+
+def test_met_bounds_leave_the_search_nothing_to_remove():
+    # on each pinned cell that skipped its cover, the cover completed at
+    # the cell's budget lets the search remove no member: a removal
+    # would have put the spanning size below the bounds that met
+    skipped = []
+    for pres, p, budget in pinned_cells():
+        report = run_pipeline(pres, p, budget).budget_report
+        if report["group_order"] is not None or report["cover_steps"]:
+            continue
+        cover = knuth_bendix(initial_rules(build_p_cover(pres, p)), budget)
+        rows = [tuple(r) for r in exponent_matrix(pres.relators, pres.arity, p).tolist()]
+        live, certs, _ = hopf._reduce_spanning(pres.relators, rows, cover, p, budget)
+        cell = (pres.name, p)
+        assert (live, certs) == (list(range(len(pres.relators))), []), cell
+        skipped.append(cell)
+    assert skipped == [
+        ("SL2_F3", 2), ("SL2_F3", 5), ("SL2_F3", 7), ("PSL2_Z", 5), ("PSL2_Z", 7)
+    ]
 
 
 def test_a_coprime_order_with_nonzero_h1_is_refused(monkeypatch):
