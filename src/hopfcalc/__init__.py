@@ -7,7 +7,7 @@ certified upper bound when the rewriting budget runs out.  See
 command-line front end.
 """
 
-from .cosets import CosetTable
+from .cosets import CosetTable, bar_h2
 from .fplinalg import as_fp, left_kernel_basis, rank, rref
 from .hopf import (
     ORDER_CAP,
@@ -17,11 +17,12 @@ from .hopf import (
     build_p_cover,
     h1_dimension,
     image_matrix,
+    lower_bound,
     replay_certificates,
     run_pipeline,
     to_json,
 )
-from .oracle import DEFAULT_CAP, OracleUnavailable, bar_h1, bar_h2, check, multiplication_table
+from .oracle import DEFAULT_CAP, OracleUnavailable, bar_h1, check, multiplication_table
 from .presentation import (
     ParseError,
     Presentation,
@@ -86,6 +87,7 @@ __all__ = [
     "initial_rules",
     "knuth_bendix",
     "left_kernel_basis",
+    "lower_bound",
     "multiplication_table",
     "normal_form",
     "orient_relator",

@@ -34,6 +34,10 @@ of coset 0.  Words that fix coset 0 lie in that stabilizer, so the
 group order is at least the size times the order of the subgroup they
 generate.  That the stabilizer is H itself, and the size |G|/|H|,
 rests on the enumeration.
+
+``bar_h2`` reads a bound on dim H_2(G;F_p) off any table that passes
+``check_table``: the pipeline's quotient lower bound and the oracle
+share it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import fplinalg
 from .words import Word
 
 # the numbered cosets may reach this multiple of the order cap
@@ -98,6 +103,47 @@ def check_table(table: CosetTable, relators: Sequence[Word]) -> None:
             end = cols[x][end]
         if not np.array_equal(end, everyone):
             raise ArithmeticError(f"relator {i} moves a coset of the table")
+
+
+def bar_h2(t: CosetTable, relators: Sequence[Word], p: int) -> int:
+    """A lower bound on dim H_2(G;F_p) from the G-set ``t``, exact when ``t`` is regular.
+
+    X_t is the covering of the presentation complex whose 0-cells are
+    the cosets, and D2 its Fox-derivative boundary over F_p (Fox, Ann.
+    Math. 57, 1953; Brown, GTM 87, II.5): row (g, i) is g * d(r_i)/d(x_j)
+    written in the coset basis, with column (h, j) at h * k + j for k
+    generators.  The value is (r - rank E) - rank eps(ker D2), E the
+    relators' exponent matrix and eps the map to F_p^r that counts each
+    relator's cells.  The universal cover factors through X_t, so
+    eps(ker D2) contains the image of pi_2, and Hopf's formula makes the
+    value at most h2; on the regular action it is h2 itself.  With A the
+    augmentation block (row (g, i) has a 1 in column i), rank eps(ker D2)
+    is the rank of the A parts of the rows that die on the D2 columns
+    when [D2 | A] is reduced there, in one elimination of D2.
+    Raises ArithmeticError, from ``check_table``, unless ``t`` is an
+    action in which every relator holds, which is all the bound needs.
+    """
+    fplinalg.require_prime(p)
+    check_table(t, relators)
+    order, k, r = t.order, len(t.columns) // 2, len(relators)
+    columns = t.columns
+    d2 = np.zeros((order * r, order * k), dtype=np.int64)
+    for g in range(order):
+        for i, rel in enumerate(relators):
+            row = d2[g * r + i]
+            h = g
+            for x in rel:
+                if x & 1:
+                    h = columns[x][h]
+                    row[h * k + (x >> 1)] -= 1
+                else:
+                    row[h * k + (x >> 1)] += 1
+                    h = columns[x][h]
+    # the rows at coset 0 summed over the column blocks are the exponent sums
+    exponents = d2[:r].reshape(r, order, k).sum(axis=1)
+    augment = np.tile(np.eye(r, dtype=np.int64), (order, 1))
+    _, eps_ker = fplinalg.kernel_image(d2, augment, p)
+    return (r - fplinalg.rank(exponents, p)) - fplinalg.rank(eps_ker, p)
 
 
 def enumerate_cosets(

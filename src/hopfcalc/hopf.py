@@ -16,13 +16,14 @@ H_2 (Brown, *Cohomology of Groups*, III.10), so A maps isomorphically
 onto F_p^n: dim A is n, and the relators whose image rows are
 independent, taken from the last relator back, are the spanning set,
 with no cover built at all.  When no order is counted, a cover could
-only shrink the spanning set by search; so when the image rank, or the
-one-relator bound, already equals the relator count r, the lower bound
-meets m = r, every relator is in the spanning set, and again no cover
-is built.  When p divides |G| and the cover may fit
-under ``ORDER_CAP``, the cover is enumerated as a coset table
-(``cosets``) over a subgroup H of order prime to p that meets A
-trivially, so A acts freely on the |C|/|H| cosets: |C| gives dim A, with
+only shrink the spanning set by search; so when the image rank, the
+one-relator bound, or the image rank plus a finite quotient's bound on
+h2, already equals the relator count r, the lower bound meets m = r,
+every relator is in the spanning set, and again no cover is built.
+When p divides |G| and the cover may fit under ``ORDER_CAP``, the cover
+is enumerated as a coset table (``cosets``) over a subgroup H of order
+prime to p that meets A trivially, so A acts freely on the |C|/|H|
+cosets: |C| gives dim A, with
 p^(dim A) = |C|/|G|, and the relators whose elements of A are
 independent, taken from the last relator back, are the spanning set, so
 m is dim A.  Otherwise, and whenever an enumeration gives up, the cover
@@ -35,11 +36,13 @@ finished cover system do not change, and would remove nothing.  From
 below, certified sources bound dim A: order counting gives dim A itself,
 the group counted through its confluent system and the cover through its
 coset table or its confluent system, or as |G|·p^n on the coprime route;
-A maps onto the relators' image in F_p^n, so the image rank is one; and
-the one-relator criterion gives 1.  h2 is exact exactly when the largest
-lower bound is m, so h2 = 0 is always exact, and so is every result of
-the coprime route, the table route and the route on which the bounds
-met before any cover.
+A maps onto the relators' image in F_p^n, so the image rank is one;
+the one-relator criterion gives 1; and with no order counted and h1 > 0,
+``lower_bound`` reads a bound v on h2 off the coset tables of finite
+nilpotent quotients (``cosets.bar_h2``), which gives the image rank plus
+v.  h2 is exact exactly when the largest lower bound is m, so h2 = 0
+is always exact, and so is every result of the coprime route, the
+table route and the route on which the bounds met before any cover.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from . import fplinalg, words
 from .automaton import Snapshot
-from .cosets import CosetTable, check_table, enumerate_cosets, walk
+from .cosets import CosetTable, bar_h2, check_table, enumerate_cosets, walk
 from .presentation import Presentation, render_word, simplify
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -68,6 +71,8 @@ from .words import Word
 
 # Largest group and cover order the exactness certification will count to.
 ORDER_CAP = 20000
+# Largest quotient the lower bound builds its Fox matrices for.
+QUOTIENT_CAP = 500
 
 
 class BoundKind(enum.Enum):
@@ -197,6 +202,55 @@ def _order_dim_a(
             "cover order over group order is not a power of the prime"
         )
     return d
+
+
+def _quotient_relators(n: int, p: int) -> list[tuple[Word, ...]]:
+    """The extra relators of the nilpotent quotients ``lower_bound`` tries, in order.
+
+    For q = p, then p^2: x_i^q with the commutators [x_i, x_j], then
+    x_i^q with the commutators [[x_i, x_j], x_l], for the quotients of
+    class 1 and 2 whose generators have orders dividing q.
+    """
+    xs = [(words.positive_letter(i),) for i in range(n)]
+    pairs = [words.commutator(u, v) for i, u in enumerate(xs) for v in xs[i + 1 :]]
+    triples = [words.commutator(c, x) for c in pairs for x in xs]
+    out = []
+    for q in (p, p * p):
+        powers = [words.power(x, q) for x in xs]
+        out += [tuple(powers + pairs), tuple(powers + triples)]
+    return out
+
+
+def lower_bound(
+    pres: Presentation, p: int, budget: Budget = DEFAULT_BUDGET
+) -> tuple[int, int]:
+    """A lower bound v on h2 from finite quotients, and the order of the quotient that gave it.
+
+    Each quotient of ``_quotient_relators`` is enumerated over the
+    trivial subgroup, under ``budget.max_steps`` definitions and
+    ``QUOTIENT_CAP`` cosets, and ``bar_h2`` reads v off its table, which
+    it first proves an action of G by ``check_table``: that is all the
+    bound rests on, not the enumerator.  The largest v is kept, and the
+    quotients stop once v reaches r minus the image rank, the most any
+    G-set can give.  A quotient that gives up is passed over, and with
+    none the trivial quotient gives v = 0.  Each quotient is a finite
+    p-group, so when h1 is 0 it is trivial and none is enumerated.
+    """
+    n, relators = pres.arity, pres.relators
+    h1 = h1_dimension(pres, p)
+    ceiling = len(relators) - n + h1
+    v, order = 0, 1
+    if h1 == 0:
+        return v, order
+    for extra in _quotient_relators(n, p):
+        if v == ceiling:
+            break
+        table = enumerate_cosets(relators + extra, n, budget.max_steps, QUOTIENT_CAP)
+        if table is not None:
+            w = bar_h2(table, relators, p)
+            if w > v:
+                v, order = w, table.order
+    return v, order
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +613,12 @@ def run_pipeline(
 
     dim A lies in [lower, m], m the reduced spanning size, and h2 is
     exact iff lower == m.  lower is the order count when there is one,
-    else the larger of the image rank and the one-relator criterion's 1.
-    A source above the order count, or lower above m, raises
-    ``ArithmeticError``.
+    else the largest of the image rank, the one-relator criterion's 1
+    and, when those stay below the relator count r, the image rank plus
+    ``lower_bound``'s v, read off finite quotients (it enumerates none
+    when h1 is 0).  A source above the order count, or lower above m,
+    raises ``ArithmeticError``, so a quotient bound that crosses the
+    final spanning size is refused.
 
     Four routes lead to the spanning set.  When the base has a known
     order |G| that p does not divide, H_1 and H_2 vanish, so dim A is n
@@ -569,10 +626,11 @@ def run_pipeline(
     rows, taken from the last relator back (``_image_basis``): no
     cover is built, enumerated or completed, and an image rank below n
     raises ``ArithmeticError``.  When no order is counted and the
-    larger of the image rank and the one-relator criterion's 1 is
-    already the relator count r, lower meets m = r before any cover:
+    largest lower source is already the relator count r, lower meets
+    m = r before any cover:
     the spanning set is every relator, h2 = r minus the image rank is
-    exact, and no cover is built, completed or searched.  Without an
+    exact, and no cover is built, completed or searched; the quotient
+    bound closes cells this way, as PSL2_Z at p = 2, 3.  Without an
     order count the cover's only use is the search, and a removal
     there would put m below lower, so skipping it changes no answer.
     When p divides |G| and
@@ -611,6 +669,9 @@ def run_pipeline(
         and words.proper_power_root(words.cyclic_reduce(nontrivial[0])[0])[1] == 1
     )
     sources = (rank_all, int(one_relator))
+    if base_order is None and max(sources) < len(relators):
+        # a finite quotient's bound on h2, over the image rank
+        sources += (rank_all + lower_bound(pres, p, budget)[0],)
     coprime = base_order is not None and base_order % p != 0
     # with no order to count, a cover can only feed the search, and
     # when the bounds already meet at every relator it can remove none

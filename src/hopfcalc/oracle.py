@@ -6,14 +6,18 @@ table come, over F_p, the Fox-derivative boundary D2 of the universal
 cover of the presentation complex (Fox, Ann. Math. 57, 1953; Brown,
 GTM 87, II.5) and the augmentation ideal I of F_p[G]; h1 = dim I/I^2
 and, by Hopf's formula, h2 = (r - rank E) - rank eps(ker D2), from
-ranks alone.  The matrices grow with |G|.  The oracle completes the base itself and the pipeline
-completes its own, so the two share no completion object.  They still
-share the routines: ``knuth_bendix`` and the element enumeration (the
-pipeline counts its base through them, the oracle builds its table),
-the table type with ``check_table`` and ``walk``, and ``fplinalg``'s
-one elimination loop, under ``rank``, ``rref`` and ``kernel_image``;
-a fault there can hide from the oracle.  They share nothing with the coset enumerator,
-the p-cover, the spanning-set search or the removal certificates.
+ranks alone.  The matrices grow with |G|.  The oracle completes the
+base itself and the pipeline completes its own, so the two share no
+completion object.  They still share the routines: ``knuth_bendix`` and
+the element enumeration (the pipeline counts its base through them, the
+oracle builds its table), the table type with ``check_table`` and
+``walk``, ``bar_h2``, which the pipeline runs on finite quotients for
+its lower bound, and ``fplinalg``'s one elimination loop, under
+``rank``, ``rref`` and ``kernel_image``; a fault there can hide from
+the oracle, and ``test_oracle_matches_the_bar_complex`` checks
+``bar_h2`` against the full bar complex instead.  They share nothing
+with the coset enumerator, the p-cover, the spanning-set search or the
+removal certificates.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import fplinalg
-from .cosets import CosetTable, check_table, walk
-from .hopf import BoundKind, run_pipeline
+from .cosets import CosetTable, bar_h2, walk
+from .hopf import QUOTIENT_CAP, BoundKind, run_pipeline
 from .presentation import Presentation
 from .rewrite import (
     DEFAULT_BUDGET,
@@ -34,10 +38,10 @@ from .rewrite import (
     knuth_bendix,
     normal_form,
 )
-from .words import Word
 
-# Largest group order the oracle builds its matrices for.
-DEFAULT_CAP = 500
+# Largest group order the oracle builds its matrices for, the same as
+# the pipeline's for its quotients.
+DEFAULT_CAP = QUOTIENT_CAP
 
 
 class OracleUnavailable(Exception):
@@ -68,8 +72,9 @@ def multiplication_table(rws: RewriteSystem, cap: int) -> CosetTable:
     return table
 
 
-# perfbench/spans.py wraps bar_h1 and bar_h2 by name, so they keep the
-# names of the bar-complex oracle they replaced until the benchmark changes
+# perfbench/spans.py wraps bar_h1 and bar_h2 here by name, so they keep
+# the names of the bar-complex oracle they replaced until the benchmark
+# changes; bar_h2 lives in cosets, which the pipeline can import
 def bar_h1(t: CosetTable, p: int) -> int:
     """dim H_1(G;F_p) = dim I/I^2, I the augmentation ideal of F_p[G].
 
@@ -87,40 +92,6 @@ def bar_h1(t: CosetTable, p: int) -> int:
     np.add.at(span, (np.repeat(np.arange(n), k), cols), -1)
     np.add.at(span, (np.tile(act[0], n), cols), -1)
     return (n - 1) - fplinalg.rank(span[1:], p)
-
-
-def bar_h2(t: CosetTable, relators: tuple[Word, ...], p: int) -> int:
-    """dim H_2(G;F_p) from the Fox-derivative boundary D2 over F_p.
-
-    Row (g, i) of D2 is g * d(r_i)/d(x_j) written in the group basis,
-    with column (h, j) at h * k + j for k generators.  With A the
-    augmentation block (row (g, i) has a 1 in column i), rank eps(ker D2)
-    is the rank of the A parts of the rows that die on the D2 columns
-    when [D2 | A] is reduced there, in one elimination of D2.
-    Raises ArithmeticError, from ``check_table``, unless ``t`` is an
-    action in which every relator holds.
-    """
-    fplinalg.require_prime(p)
-    check_table(t, relators)
-    order, k, r = t.order, len(t.columns) // 2, len(relators)
-    columns = t.columns
-    d2 = np.zeros((order * r, order * k), dtype=np.int64)
-    for g in range(order):
-        for i, rel in enumerate(relators):
-            row = d2[g * r + i]
-            h = g
-            for x in rel:
-                if x & 1:
-                    h = columns[x][h]
-                    row[h * k + (x >> 1)] -= 1
-                else:
-                    row[h * k + (x >> 1)] += 1
-                    h = columns[x][h]
-    # the identity rows summed over the column blocks are the exponent sums
-    exponents = d2[:r].reshape(r, order, k).sum(axis=1)
-    augment = np.tile(np.eye(r, dtype=np.int64), (order, 1))
-    _, eps_ker = fplinalg.kernel_image(d2, augment, p)
-    return (r - fplinalg.rank(exponents, p)) - fplinalg.rank(eps_ker, p)
 
 
 def check(

@@ -11,7 +11,7 @@ import pytest
 
 from hopfcalc import cli
 from hopfcalc.oracle import OracleUnavailable
-from hopfcalc.presentation import corpus
+from hopfcalc.presentation import corpus, render_presentation
 from hopfcalc.rewrite import (
     DEFAULT_BUDGET,
     Budget,
@@ -19,8 +19,6 @@ from hopfcalc.rewrite import (
     initial_rules,
     knuth_bendix,
 )
-
-UB_PRES = "gens: a b\nrel: [a,b]^2\n"
 
 
 def run(capsys, *argv):
@@ -48,11 +46,12 @@ def test_compute_text_exact(capsys):
 
 
 def test_compute_text_upper_bound(tmp_path, capsys):
-    pres = tmp_path / "csq.pres"
-    pres.write_text(UB_PRES, encoding="utf-8")
-    code, out, _ = run(capsys, "compute", "--pres", str(pres), "--prime", "2")
+    # GL2_Z has h1 = 0 at p=3, so no finite quotient bounds h2 from below
+    pres = tmp_path / "gl2z.pres"
+    pres.write_text(render_presentation(corpus("GL2_Z")), encoding="utf-8")
+    code, out, _ = run(capsys, "compute", "--pres", str(pres), "--prime", "3")
     assert code == 0
-    assert out.splitlines()[0] == "h1 = 2, h2 ≤ 1"
+    assert out.splitlines()[0] == "h1 = 0, h2 ≤ 2"
 
 
 def test_compute_json(capsys):
@@ -297,14 +296,16 @@ def test_removed_budget_flags_are_usage_errors(capsys, command, flag):
 
 def test_compute_stopped_by_the_rule_limit_gives_an_upper_bound(capsys):
     code, out, _ = run(
-        capsys, "compute", "--corpus", "SL2_F3", "--prime", "3",
+        capsys, "compute", "--corpus", "SL2_ZSQRTM5", "--prime", "7",
         "--budget-steps", "3000", "--format", "json",
     )
     assert code == 0
     record = json.loads(out)
     assert record["budget"]["base_limited"] is True
-    # the oracle's h2 for SL(2,3) at p=3 is 1, so the bound is tight
-    assert (record["h2_value"], record["h2_kind"]) == (1, "upper_bound")
+    # the search in the limited cover removes nothing, and the Z/7
+    # quotient bounds h2 from below by 1 only
+    assert (record["h2_value"], record["h2_kind"]) == (10, "upper_bound")
+    assert record["budget"]["removals"] == 0
 
 
 def test_zero_budget_limits_exit_2(capsys):

@@ -125,13 +125,17 @@ def test_free_group_has_no_h2():
     assert res.spanning_set == ()
 
 
-def test_proper_power_relator_is_not_promoted():
+def test_proper_power_relator_is_not_promoted(monkeypatch):
     # relation module arguments need a relator that is not a proper
-    # power; [a,b]^2 must therefore stay an upper bound
+    # power; with no quotient bound [a,b]^2 must therefore stay an
+    # upper bound, and the abelian quotient (Z/p)^2 makes it exact
     for p in (2, 3):
         res = run_pipeline(COMM_SQUARED, p)
-        assert res.h2_kind is BoundKind.UPPER_BOUND
-        assert res.h2_value == 1
+        assert (res.h2_value, res.h2_kind) == (1, BoundKind.EXACT)
+    monkeypatch.setattr(hopf, "lower_bound", lambda pres, p, budget: (0, 1))
+    for p in (2, 3):
+        res = run_pipeline(COMM_SQUARED, p)
+        assert (res.h2_value, res.h2_kind) == (1, BoundKind.UPPER_BOUND)
 
 
 def test_single_relator_with_a_nonzero_image_row_is_exact():
@@ -370,7 +374,8 @@ def pinned_cells():
     pipeline takes the coprime route on the finite cells whose order p
     does not divide, the cover table route on the other finite cells
     whose cover enumerates within the budget's definitions, and no
-    route to a cover on the uncounted cells whose bounds already meet.
+    route to a cover on the uncounted cells whose bounds already meet,
+    by the image rank or by a finite quotient's bound over it.
     """
     cells = [
         (corpus(name), p, Budget(max_steps=3000))
@@ -398,7 +403,7 @@ def test_pipeline_records_are_pinned(monkeypatch):
     monkeypatch.setattr(hopf, "enumerate_cosets", give_up)
     pin(corpus("SL2_F2"), 3, Budget())
     assert h.hexdigest() == (
-        "6e74248a55581d2756cf625ddbf79e1f520b594fb66a093fa28df9ea0b0978ad"
+        "ffdbaa25f27efab182494e1b582154bbb98b59c7e262ad602353f08852fadd89"
     )
 
 
@@ -465,10 +470,19 @@ def test_the_coprime_route_keeps_the_table_basis():
 def refuse_covers(monkeypatch):
     """Make building or enumerating a cover, or completing a second system, raise.
 
-    Returns the list of completed systems, to be cleared before each run.
+    Enumerations under the quotient cap are the lower bound's quotients,
+    and run.  Returns the list of completed systems, to be cleared
+    before each run.
     """
+    enumerate_cosets = hopf.enumerate_cosets
+
     def refuse(*args, **kwargs):
         raise AssertionError("the cell built or enumerated a cover")
+
+    def quotients_only(relators, arity, max_definitions, cap, subgroup=()):
+        if cap != hopf.QUOTIENT_CAP:
+            refuse()
+        return enumerate_cosets(relators, arity, max_definitions, cap, subgroup)
 
     completed = []
 
@@ -478,7 +492,7 @@ def refuse_covers(monkeypatch):
         completed.append(rules)
         return knuth_bendix(rules, budget)
 
-    monkeypatch.setattr(hopf, "enumerate_cosets", refuse)
+    monkeypatch.setattr(hopf, "enumerate_cosets", quotients_only)
     monkeypatch.setattr(hopf, "build_p_cover", refuse)
     monkeypatch.setattr(hopf, "knuth_bendix", base_only)
     return completed
@@ -504,14 +518,18 @@ def test_coprime_primes_are_exact_without_a_cover(monkeypatch):
 
 def test_met_bounds_are_exact_without_a_cover(monkeypatch):
     # with no counted order a cover can only feed the search, and where
-    # the image rank or the one-relator bound already is the relator
-    # count the search can remove nothing; PSL2_Z's rows (2,0), (0,3)
-    # are independent at every p >= 5, where its p-cover completion ran
-    # to the default budget's 2 million steps and the search removed none
+    # the image rank, the one-relator bound or the quotient bound over
+    # the image rank already is the relator count the search can remove
+    # nothing; PSL2_Z's rows (2,0), (0,3) are independent at every p >= 5,
+    # and at p = 2, 3 its quotient Z/p gives h2 >= 1 over the rank 1; its
+    # p-cover completions ran to the default budget's 2 million steps,
+    # or 1.6 million at p = 2, and the search removed none
     completed = refuse_covers(monkeypatch)
     one_relator = parse_presentation("gens: a b\nrel: a*b*a*b^-2\n", name="aba")
     torus_relator = (1, 3, 0, 2)
     cells = [
+        (corpus("PSL2_Z"), 2, 1, 1, (((1, 0), (0, 0)),)),
+        (corpus("PSL2_Z"), 3, 1, 1, (((0, 1), (2, 2, 2)),)),
         (corpus("PSL2_Z"), 5, 0, 0, ()),
         (corpus("PSL2_Z"), 7, 0, 0, ()),
         (corpus("PSL2_Z"), 101, 0, 0, ()),
@@ -550,8 +568,71 @@ def test_met_bounds_leave_the_search_nothing_to_remove():
         assert (live, certs) == (list(range(len(pres.relators))), []), cell
         skipped.append(cell)
     assert skipped == [
-        ("SL2_F3", 2), ("SL2_F3", 5), ("SL2_F3", 7), ("PSL2_Z", 5), ("PSL2_Z", 7)
+        ("SL2_F3", 2), ("SL2_F3", 3), ("SL2_F3", 5), ("SL2_F3", 7),
+        ("PSL2_Z", 2), ("PSL2_Z", 3), ("PSL2_Z", 5), ("PSL2_Z", 7),
     ]
+
+
+# infinite groups and their h2 at p: by Hopf's formula and the universal
+# coefficient theorem, dim H_2(G;Z)/p plus dim Tor(H_1(G;Z), F_p)
+CLOSED_FORMS = [
+    (TORUS, lambda p: 1),
+    (parse_presentation("gens: a b c\nrel: [a,b]\nrel: [a,c]\nrel: [b,c]\n", name="Z3"),
+     lambda p: 3),
+    (parse_presentation("gens: a b\nrel: a*b*a*b^-1\n", name="Klein"), lambda p: int(p == 2)),
+    (parse_presentation("gens: a b\nrel: b^-1*a*b*a^-2\n", name="BS12"), lambda p: 0),
+    (parse_presentation("gens: a b\nrel: b^-1*a*b*a^-3\n", name="BS13"),
+     lambda p: int(p == 2)),
+    (parse_presentation("gens: a b\nrel: a^2*b^-3\n", name="trefoil"), lambda p: 0),
+    (parse_presentation("gens: a b\nrel: [[a,b],a]\nrel: [[a,b],b]\n", name="Heisenberg"),
+     lambda p: 2),
+]
+
+
+def test_the_quotient_bound_meets_the_closed_forms():
+    # a finite quotient's bound is at most h2; on these groups a nilpotent
+    # quotient under the cap already reaches it, so the bound is tight,
+    # and the pipeline is exact there even at a small budget
+    for pres, h2_at in CLOSED_FORMS:
+        for p in (2, 3, 5, 7):
+            cell = (pres.name, p)
+            v, order = hopf.lower_bound(pres, p)
+            assert v == h2_at(p), cell
+            assert 1 <= order <= hopf.QUOTIENT_CAP, cell
+            res = run_pipeline(pres, p, Budget(max_steps=3000))
+            assert (res.h2_value, res.h2_kind) == (h2_at(p), BoundKind.EXACT), cell
+
+
+def test_no_quotient_is_enumerated_where_h1_is_zero_or_the_order_is_counted(monkeypatch):
+    # h1 = 0 at p: the flagship and the grid-bounded cells, here at a
+    # small budget, which their h1 does not depend on; a counted order:
+    # SL2_F2 at p = 2, where h1 = 1
+    enumerate_cosets = hopf.enumerate_cosets
+
+    def no_quotients(relators, arity, max_definitions, cap, subgroup=()):
+        assert cap != hopf.QUOTIENT_CAP, "the cell enumerated a quotient"
+        return enumerate_cosets(relators, arity, max_definitions, cap, subgroup)
+
+    def no_bar(*args):
+        raise AssertionError("the cell ran bar_h2")
+
+    monkeypatch.setattr(hopf, "enumerate_cosets", no_quotients)
+    monkeypatch.setattr(hopf, "bar_h2", no_bar)
+    budget = Budget(max_steps=3000)
+    cells = [(corpus("SL2Z7Z7_6GEN"), 7)]
+    cells += [(corpus(name), p) for name in ("GL2_Z", "SL2_Z", "PSL2_Z") for p in (5, 7)]
+    for pres, p in cells:
+        assert run_pipeline(pres, p, budget).h1_dim == 0, (pres.name, p)
+    res = run_pipeline(corpus("SL2_F2"), 2, budget)
+    assert (res.h1_dim, res.budget_report["group_order"]) == (1, 6)
+
+
+def test_quotient_bound_above_the_spanning_size_is_refused(monkeypatch):
+    # [a,b]^2 has one relator, so dim A <= 1; a quotient claiming h2 >= 2
+    # puts the lower bound above it
+    monkeypatch.setattr(hopf, "lower_bound", lambda pres, p, budget: (2, 4))
+    with pytest.raises(ArithmeticError, match="certified bounds on dim A cross"):
+        run_pipeline(COMM_SQUARED, 2, Budget(max_steps=3000))
 
 
 def test_a_coprime_order_with_nonzero_h1_is_refused(monkeypatch):

@@ -103,6 +103,22 @@ def test_oracle_matches_the_bar_complex():
             assert oracle.bar_h2(table, padded, p) == expected[1], (pres.name, p)
 
 
+def test_the_quotient_bound_is_at_most_the_bar_complex_value():
+    # every finite G-set that passes check_table bounds h2 from below,
+    # and a quotient as large as G is G, whose regular action gives h2;
+    # the reference is the bar complex, not bar_h2, which the bound runs
+    for pres in SMALL_GROUPS:
+        d2, d3 = bar_boundaries(pres)
+        m = d2.shape[0]
+        for p in (2, 3, 5, 7):
+            h2 = (m * m - fplinalg.rank(d2, p)) - fplinalg.rank(d3, p)
+            v, order = hopf.lower_bound(pres, p)
+            assert 0 <= v <= h2, (pres.name, p)
+            assert (m + 1) % order == 0, (pres.name, p)
+            if order == m + 1:
+                assert v == h2, (pres.name, p)
+
+
 def test_table_structure():
     assert Z6_TABLE.order == 6
     tables = ((Z6, Z6_TABLE), (S3, S3_TABLE), (KLEIN, KLEIN_TABLE), (Q8, Q8_TABLE))
@@ -265,7 +281,7 @@ def test_check_completes_the_base_once(monkeypatch):
 def test_check_checks_the_oracle_table_once_before_reading_it(monkeypatch):
     # bar_h2 checks the table with the relators; multiplication_table does not
     pres = corpus("SL2_F2")
-    build, check, h1 = oracle.multiplication_table, oracle.check_table, oracle.bar_h1
+    build, check, h1 = oracle.multiplication_table, cosets.check_table, oracle.bar_h1
     tables, events = [], []
 
     def built(rws, cap):
@@ -281,7 +297,7 @@ def test_check_checks_the_oracle_table_once_before_reading_it(monkeypatch):
         return h1(table, p)
 
     monkeypatch.setattr(oracle, "multiplication_table", built)
-    monkeypatch.setattr(oracle, "check_table", checked)
+    monkeypatch.setattr(cosets, "check_table", checked)
     monkeypatch.setattr(oracle, "bar_h1", read)
     assert oracle.check(pres, 2)["verdict"] == "pass"
     assert len(tables) == 1

@@ -38,6 +38,7 @@ PUBLIC = {
     "initial_rules",
     "knuth_bendix",
     "left_kernel_basis",
+    "lower_bound",
     "multiplication_table",
     "normal_form",
     "orient_relator",
